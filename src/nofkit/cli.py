@@ -27,6 +27,7 @@ from .functions import disj_spec, eval_disj, eval_gip, gip_spec
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
+    exact_error_oracle,
     parse_eps,
     report_to_csv_row,
     report_to_json,
@@ -36,13 +37,10 @@ from .harness import (
 )
 from .matrices import InputMatrix, parse_matrix
 from .protocols import (
+    DEFAULT_ERROR,
     InfeasibleParameters,
     active_budget,
-    ceil_log2,
     exact_gip_error,
-    exact_mod3_error,
-    fold_rows,
-    gip_params,
     mod3_params,
 )
 from .tape import RandomTape
@@ -186,10 +184,16 @@ def _cmd_exact_error(args) -> int:
         err = exact_gip_error(x, ell)
         out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": ell}
     else:
-        k_eff = min(x.k, ceil_log2(3 * x.n))
-        folded = InputMatrix(k=k_eff, rows=fold_rows(x.rows, k_eff))
-        err = exact_mod3_error(folded)
-        out = {"protocol": "mod3", "n": x.n, "k": x.k, "k_eff": k_eff}
+        oracle = exact_error_oracle("mod3", x.n, x.k, DEFAULT_ERROR)
+        p = mod3_params(x.n, x.k, DEFAULT_ERROR)
+        if oracle is None:
+            raise ValueError(
+                f"mod3 at n={x.n} k={x.k} runs {len(p['blocks'])} block(s) x "
+                f"{p['reps'][0]} repetition(s); the per-input oracle covers only "
+                "one block with one repetition"
+            )
+        err = oracle(x)
+        out = {"protocol": "mod3", "n": x.n, "k": x.k, "k_eff": p["k_effs"][0]}
     out["exact_error"] = float(err)
     out["exact_error_repr"] = str(err)
     _write(args, json.dumps(out, sort_keys=True, indent=2) + "\n")

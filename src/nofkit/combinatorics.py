@@ -3,6 +3,12 @@
 Everything here is exact big-integer or rational arithmetic; the only floats
 are the square roots inside the moment inequalities, where the comparison
 carries an explicit tolerance.
+
+``unrank_band_row`` is the one rank -> row kernel: the shared mask of the
+parity protocol (``MaskVector.from_rank``) and the row law of the hard
+distributions (``distributions._row_with_zero_count_range``) both draw a
+rank and unrank it here. It walks the binomial counts with in-place
+multiply/divide steps, O(k) exact-integer operations per row.
 """
 
 from __future__ import annotations
@@ -23,7 +29,15 @@ def binom_leq(n: int, k: int) -> int:
     """Sum of C(n, i) for 0 <= i <= k; k past n just counts all subsets."""
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
-    return sum(comb(n, i) for i in range(0, min(n, k) + 1))
+    return band_size(n, 0, min(n, k))
+
+
+@lru_cache(maxsize=1024)
+def band_size(k: int, jmin: int, jmax: int) -> int:
+    """Number of rows of {0,1}^k with between jmin and jmax zeros."""
+    if not 0 <= jmin <= jmax <= k:
+        raise ValueError("need 0 <= jmin <= jmax <= k")
+    return sum(comb(k, j) for j in range(jmin, jmax + 1))
 
 
 def binom_sandwich_ok(n: int, k: int) -> bool:
@@ -125,22 +139,55 @@ def fact21_check(n: int, p: float, tol: float = 1e-12) -> dict:
     }
 
 
+def _lex_positions(rank: int, n: int, r: int, block: int):
+    """Yield the rank-th r-subset of {1..n} in lexicographic order.
+
+    ``block`` must be C(n-1, r-1), the number of subsets that take position
+    1. At each position c, with m = n - c positions after it, the block is
+    C(m, r-1); moving on it becomes C(m-1, r-1) = C(m, r-1)(m-r+1)/m when c
+    is skipped and C(m-1, r-2) = C(m, r-1)(r-1)/m when c is taken. Both
+    divisions are exact.
+    """
+    for c in range(1, n + 1):
+        m = n - c
+        if rank < block:
+            yield c
+            r -= 1
+            if not r:
+                return
+            block = block * r // m
+        else:
+            rank -= block
+            block = block * (m - r + 1) // m
+
+
 def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     """The ``rank``-th k-subset of {1..n} in lexicographic order (0-based)."""
     if not 0 <= rank < comb(n, k):
         raise ValueError("rank out of range")
-    out = []
-    prev = 0
-    remaining = k
-    for _ in range(k):
-        c = prev + 1
-        while True:
-            block = comb(n - c, remaining - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        prev = c
-        remaining -= 1
-    return tuple(out)
+    if k == 0:
+        return ()
+    return tuple(_lex_positions(rank, n, k, comb(n - 1, k - 1)))
+
+
+def unrank_band_row(k: int, jmin: int, jmax: int, rank: int) -> int:
+    """The ``rank``-th row of {0,1}^k with jmin..jmax zeros (0-based).
+
+    Rows are ordered by zero count, then by the lexicographic order of their
+    zero positions; entry j of the row is bit j-1. The zero count is found
+    by stepping C(k, j+1) = C(k, j)(k-j)/(j+1), and the positions by
+    ``_lex_positions``, so a row costs O(k) exact-integer steps.
+    """
+    if not 0 <= rank < band_size(k, jmin, jmax):
+        raise ValueError("rank out of range")
+    j = jmin
+    count = comb(k, j)
+    while rank >= count:
+        rank -= count
+        count = count * (k - j) // (j + 1)
+        j += 1
+    row = (1 << k) - 1
+    if j:
+        for z in _lex_positions(rank, k, j, count * j // k):
+            row ^= 1 << (z - 1)
+    return row

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .combinatorics import binom_leq, unrank_combination
+from .combinatorics import band_size, binom_leq, unrank_band_row, unrank_combination
 from .functions import eval_mod3xor
 from .matrices import InputMatrix
 
@@ -74,19 +74,9 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
 
 
 def _row_with_zero_count_range(rng, k: int, jmin: int, jmax: int) -> int:
-    """Uniform row with between jmin and jmax zero entries."""
-    total = sum(comb(k, j) for j in range(jmin, jmax + 1))
-    r = _randbelow(rng, total)
-    for j in range(jmin, jmax + 1):
-        c = comb(k, j)
-        if r < c:
-            zeros = unrank_combination(r, k, j)
-            row = (1 << k) - 1
-            for z in zeros:
-                row &= ~(1 << (z - 1))
-            return row
-        r -= c
-    raise AssertionError("unreachable")
+    """Uniform row with between jmin and jmax zero entries: one uniform rank
+    over the band, unranked by the shared ``combinatorics.unrank_band_row``."""
+    return unrank_band_row(k, jmin, jmax, _randbelow(rng, band_size(k, jmin, jmax)))
 
 
 def _row_with_parity(rng, k: int, parity: int) -> int:

@@ -10,6 +10,7 @@ is assembled, which is what makes worker-count invariance byte-exact.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -132,22 +133,25 @@ def structural_ell(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int
     return max(mod3_params(n, k, eps)["k_effs"])
 
 
-def _exact_error_oracle(cfg: ExperimentConfig, eps: Fraction):
-    """Per-input collision-probability formula, when the single-base-run
-    regime makes it meaningful. Returns (applies, fn)."""
-    if cfg.protocol == "gip":
-        p = gip_params(cfg.n, cfg.k, eps)
+def exact_error_oracle(
+    protocol: str, n: int, k: int, eps: Fraction
+) -> Optional[Callable[[InputMatrix], Fraction]]:
+    """Per-input collision-probability formula of the protocol at (n, k, eps),
+    or None unless it runs a single block with a single repetition, the one
+    regime where that formula is the protocol's error."""
+    if protocol == "gip":
+        p = gip_params(n, k, eps)
         if len(p["blocks"]) == 1 and p["reps"] == [1]:
             ell = p["ells"][0]
-            return True, lambda x: exact_gip_error(x, ell)
-    if cfg.protocol == "mod3":
-        p = mod3_params(cfg.n, cfg.k, eps)
+            return lambda x: exact_gip_error(x, ell)
+    if protocol == "mod3":
+        p = mod3_params(n, k, eps)
         if len(p["blocks"]) == 1 and p["reps"] == [1]:
             k_eff = p["k_effs"][0]
-            return True, lambda x: exact_mod3_error(
+            return lambda x: exact_mod3_error(
                 InputMatrix(k=k_eff, rows=fold_rows(x.rows, k_eff))
             )
-    return False, None
+    return None
 
 
 def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
@@ -168,7 +172,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
     elif kind == "dist":
         fixed = _dist_from_source(cfg)
 
-    applies, oracle = _exact_error_oracle(cfg, eps)
+    oracle = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps)
     acc = {
         "runs": 0,
         "wrong": 0,
@@ -194,7 +198,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
             acc["wrong"] += int(outcome.output != evaluate(x))
             acc["cost_sum"] += outcome.cost_bits
             acc["cost_max"] = max(acc["cost_max"], outcome.cost_bits)
-        if applies:
+        if oracle is not None:
             e = oracle(x)
             acc["exact_sum"] += e
             acc["exact_max"] = max(acc["exact_max"], e)
@@ -250,11 +254,22 @@ def clopper_pearson(wrong: int, trials: int, confidence: float = 0.99):
     return lo, hi
 
 
+class CostCeilingExceeded(ValueError):
+    """A run broadcast more bits than its protocol's declared cost ceiling."""
+
+
+def effective_workers(workers: int, trials: int) -> int:
+    """Worker processes simulate starts: at least one, and never more than
+    the trials or the CPUs."""
+    return max(1, min(workers, trials, os.cpu_count() or 1))
+
+
 def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Run the configured experiment and assemble the JSON-ready report.
 
-    workers only partitions the trial range; it is deliberately not echoed
-    in the report, which must be identical for any worker count.
+    workers only partitions the trial range (clamped by effective_workers);
+    it is deliberately not echoed in the report, which must be identical
+    for any worker count.
     """
     t0 = time.monotonic()
     eps = parse_eps(cfg.eps)
@@ -264,6 +279,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
             raise ValueError("exact_y: needs the single-block, single-rep regime")
 
     cfg_dict = asdict(cfg)
+    workers = effective_workers(workers, cfg.trials)
     if workers <= 1 or cfg.trials < 2 * workers:
         acc = _trial_chunk(cfg_dict, 0, cfg.trials)
     else:
@@ -276,10 +292,10 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
             ]
             acc = _merge([f.result() for f in futs])
 
-    applies, _ = _exact_error_oracle(cfg, eps)
+    applies = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps) is not None
     protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
     if protocol.cost_ceiling is not None and acc["cost_max"] > protocol.cost_ceiling:
-        raise AssertionError(
+        raise CostCeilingExceeded(
             f"measured cost {acc['cost_max']} above ceiling {protocol.cost_ceiling}"
         )
     emp = Fraction(acc["wrong"], acc["runs"])

@@ -27,12 +27,13 @@ mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from math import ceil, comb, log
+from math import ceil, log
 from typing import Callable, Optional, Sequence, Union
 
-from .combinatorics import binom_leq, smallest_odd_majority, unrank_combination
+from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript
 from .matrices import InputMatrix, View
 from .tape import RandomTape
@@ -63,6 +64,11 @@ def active_budget(n: int, k: int, delta: Rational = Fraction(1, 3)) -> int:
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
+    return _active_budget_cached(n, k, delta)
+
+
+@lru_cache(maxsize=4096)
+def _active_budget_cached(n: int, k: int, delta: Fraction) -> int:
     threshold = Fraction(n) / delta
     for ell in range(k + 1):
         if binom_leq(k, ell) >= threshold:
@@ -94,18 +100,9 @@ class MaskVector:
     @classmethod
     def from_rank(cls, k: int, ell: int, rank: int) -> "MaskVector":
         """rank in [0, binom_leq(k, ell)) -> mask, ordered by zero count then
-        lexicographic zero positions."""
-        if not 0 <= rank < binom_leq(k, ell):
-            raise ValueError("rank out of range")
-        for j in range(ell + 1):
-            c = comb(k, j)
-            if rank < c:
-                bits = (1 << k) - 1
-                for z in unrank_combination(rank, k, j):
-                    bits &= ~(1 << (z - 1))
-                return cls(k=k, bits=bits)
-            rank -= c
-        raise AssertionError("unreachable")
+        lexicographic zero positions; unranked by the shared
+        ``combinatorics.unrank_band_row``."""
+        return cls(k=k, bits=unrank_band_row(k, 0, min(ell, k), rank))
 
 
 def enumerate_masks(k: int, ell: int):
@@ -124,6 +121,12 @@ Slot = tuple[int, int, Callable[[View], str]]  # (player, bit width, compute)
 class _Plan:
     slots: list[Slot]
     output: Callable[[list[str]], int]
+    by_player: dict[int, list[Slot]] = field(init=False)  # slots in plan order
+
+    def __post_init__(self):
+        self.by_player = {}
+        for slot in self.slots:
+            self.by_player.setdefault(slot[0], []).append(slot)
 
 
 def _plan_protocol(
@@ -145,10 +148,10 @@ def _plan_protocol(
         return cache[key]
 
     def message_rule(i, view, prefix, tape, ns):
-        return "".join(fn(view) for player, _, fn in plan_for(tape, ns).slots if player == i)
+        return "".join(fn(view) for _, _, fn in plan_for(tape, ns).by_player.get(i, ()))
 
     def length_rule(i, tape, ns):
-        return sum(width for player, width, _ in plan_for(tape, ns).slots if player == i)
+        return sum(width for _, width, _ in plan_for(tape, ns).by_player.get(i, ()))
 
     def output_rule(transcript: Transcript, tape, ns):
         plan = plan_for(tape, ns)

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from nofkit import harness
 from nofkit.cli import main
 from nofkit.harness import CSV_HEADER
+from nofkit.protocols import gip_protocol
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -46,6 +49,18 @@ def test_simulate_infeasible_exits_nonzero(capsys):
                  "--trials", "4"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_cost_above_declared_ceiling_is_an_error_line(monkeypatch, capsys):
+    def understated(n, k, eps):
+        return dataclasses.replace(gip_protocol(n, k, eps), cost_ceiling=0)
+
+    monkeypatch.setitem(harness.PROTOCOL_BUILDERS, "gip", understated)
+    code = main(["simulate", "--protocol", "gip", "--n", "4", "--k", "4",
+                 "--trials", "5", "--seed", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "ceiling 0" in err[0]
 
 
 def test_sweep_csv_and_json(tmp_path, capsys):
@@ -106,6 +121,30 @@ def test_exact_error_gip_and_mod3(tmp_path):
     assert code == 0
     assert payload["k_eff"] == 3
     assert payload["exact_error"] == pytest.approx(2 / 8)
+
+
+def test_exact_error_mod3_refuses_blocked_regime(tmp_path, capsys):
+    # mod3 at n=3 k=2 runs three 1-row blocks of 13 repetitions each, so no
+    # single collision probability is its error
+    x = tmp_path / "x.txt"
+    x.write_text("3 2\n11\n01\n10\n")
+    code = main(["exact-error", "--protocol", "mod3", "--matrix", str(x)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "3 block(s)" in err[0]
+
+
+def test_exact_error_mod3_single_block_uses_params_width(tmp_path):
+    # n=4 k=8: one block folded to k_eff = ceil(log2 12) = 4 columns
+    x = tmp_path / "x.txt"
+    x.write_text("4 8\n11111111\n11110000\n00001111\n00000000\n")
+    code, payload = run_json(
+        ["exact-error", "--protocol", "mod3", "--matrix", str(x)], tmp_path)
+    assert code == 0
+    assert payload["k_eff"] == 4
+    # columns 4..8 fold into one parity column: the first two rows both fold
+    # to 1111 and the last two to 0000, so 2 of the 16 folded points collide
+    assert payload["exact_error_repr"] == "1/8"
 
 
 def test_exact_error_ell_override(tmp_path):

@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nofkit.combinatorics import (
+    band_size,
     binom_leq,
     binom_sandwich_ok,
     binomial_pmf,
     fact21_check,
     majority_tail,
     smallest_odd_majority,
+    unrank_band_row,
     unrank_combination,
 )
 
@@ -96,3 +101,94 @@ def test_unrank_combination_matches_lexicographic():
 def test_unrank_combination_range_checked():
     with pytest.raises(ValueError):
         unrank_combination(comb(5, 2), 5, 2)
+
+
+def unrank_combination_reference(rank, n, k):
+    """Comb-per-step unranking: the slow reference for the in-place walk."""
+    out = []
+    prev = 0
+    remaining = k
+    for _ in range(k):
+        c = prev + 1
+        while True:
+            block = comb(n - c, remaining - 1)
+            if rank < block:
+                break
+            rank -= block
+            c += 1
+        out.append(c)
+        prev = c
+        remaining -= 1
+    return tuple(out)
+
+
+def band_rows_in_order(k, jmin, jmax):
+    """Every row with jmin..jmax zeros, by zero count then zero positions."""
+    full = (1 << k) - 1
+    return [
+        full & ~sum(1 << (z - 1) for z in zeros)
+        for j in range(jmin, jmax + 1)
+        for zeros in combinations(range(1, k + 1), j)
+    ]
+
+
+def row_key(k, row):
+    zeros = tuple(z for z in range(1, k + 1) if not (row >> (z - 1)) & 1)
+    return len(zeros), zeros
+
+
+def test_unrank_combination_matches_reference_on_random_ranks():
+    rng = random.Random(300)
+    for n in (8, 33, 64, 129, 256, 300):
+        for k in sorted({1, 2, n // 3, n // 2, n - 1, n}):
+            total = comb(n, k)
+            for rank in [0, total - 1] + [rng.randrange(total) for _ in range(12)]:
+                assert unrank_combination(rank, n, k) == unrank_combination_reference(
+                    rank, n, k
+                ), (n, k, rank)
+
+
+def test_band_size_counts_the_band():
+    assert band_size(4, 0, 2) == binom_leq(4, 2) == 11
+    assert band_size(4, 1, 2) == 10
+    assert band_size(256, 0, 256) == 1 << 256
+    for bad in [(3, 2, 1), (3, -1, 1), (3, 0, 4)]:
+        with pytest.raises(ValueError):
+            band_size(*bad)
+
+
+def test_unrank_band_row_matches_enumeration_exhaustively():
+    for k in range(1, 11):
+        for jmin in range(k + 1):
+            for jmax in range(jmin, k + 1):
+                expect = band_rows_in_order(k, jmin, jmax)
+                assert band_size(k, jmin, jmax) == len(expect)
+                got = [unrank_band_row(k, jmin, jmax, r) for r in range(len(expect))]
+                assert got == expect, (k, jmin, jmax)
+
+
+def test_unrank_band_row_range_checked():
+    with pytest.raises(ValueError):
+        unrank_band_row(5, 1, 2, band_size(5, 1, 2))
+    with pytest.raises(ValueError):
+        unrank_band_row(5, 1, 2, -1)
+
+
+@st.composite
+def band_and_rank(draw):
+    k = draw(st.integers(1, 300))
+    jmin = draw(st.integers(0, k))
+    jmax = draw(st.integers(jmin, k))
+    size = band_size(k, jmin, jmax)
+    return k, jmin, jmax, draw(st.integers(0, max(size - 2, 0)))
+
+
+@given(band_and_rank())
+def test_consecutive_ranks_give_increasing_rows_in_band(case):
+    k, jmin, jmax, rank = case
+    a = row_key(k, unrank_band_row(k, jmin, jmax, rank))
+    assert jmin <= a[0] <= jmax
+    if rank + 1 < band_size(k, jmin, jmax):
+        b = row_key(k, unrank_band_row(k, jmin, jmax, rank + 1))
+        assert jmin <= b[0] <= jmax
+        assert a < b

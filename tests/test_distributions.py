@@ -1,8 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nofkit.distributions import DistributionSpec, make_dist, nu_counts, parse_dist_string
+from nofkit.combinatorics import band_size
+from nofkit.distributions import (
+    DistributionSpec,
+    _row_with_zero_count_range,
+    make_dist,
+    nu_counts,
+    parse_dist_string,
+)
 from nofkit.functions import eval_mod3xor
 from nofkit.matrices import InputMatrix
 from nofkit.tape import RandomTape
@@ -118,6 +126,32 @@ def test_mu_k1_edge():
     assert d.sample(rng).n == 1
     with pytest.raises(ValueError):
         make_dist("mu", 2, 1).sample(rng)
+
+
+class FixedDraw:
+    """Stands in for a Generator whose next integer draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, bound):
+        assert 0 <= self.value < bound
+        return self.value
+
+
+def test_band_sampler_maps_each_draw_to_its_row_exhaustively():
+    # the sampler's rank -> row order is zero count, then zero positions
+    for k in range(1, 11):
+        full = (1 << k) - 1
+        for jmin, jmax in [(0, j) for j in range(k + 1)] + [(1, j) for j in range(1, k + 1)]:
+            rows = [
+                full & ~sum(1 << (z - 1) for z in zeros)
+                for j in range(jmin, jmax + 1)
+                for zeros in combinations(range(1, k + 1), j)
+            ]
+            assert band_size(k, jmin, jmax) == len(rows)
+            for r in range(len(rows)):
+                assert _row_with_zero_count_range(FixedDraw(r), k, jmin, jmax) == rows[r]
 
 
 def test_samples_match_pmf_frequencies():

@@ -7,6 +7,7 @@ from nofkit.harness import (
     CSV_HEADER,
     ExperimentConfig,
     clopper_pearson,
+    effective_workers,
     parse_eps,
     report_to_csv_row,
     report_to_json,
@@ -53,6 +54,17 @@ def test_simulate_reports_are_reproducible():
 def test_simulate_worker_count_invariance():
     cfg = ExperimentConfig(protocol="mod3", n=4, k=8, trials=30, seed=6)
     assert strip_clock(simulate(cfg, workers=1)) == strip_clock(simulate(cfg, workers=3))
+
+
+def test_effective_workers_clamps_to_trials_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert effective_workers(3, 100) == 3
+    assert effective_workers(10**9, 100) == 4
+    assert effective_workers(8, 2) == 2
+    assert effective_workers(0, 100) == 1
+    assert effective_workers(-5, 100) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert effective_workers(10**9, 100) == 1
 
 
 def test_simulate_seed_changes_draws():

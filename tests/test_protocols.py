@@ -79,6 +79,16 @@ def test_mask_rank_order_and_zero_positions():
     assert last.zero_positions == (2, 3)
 
 
+def test_mask_from_rank_matches_enumeration_exhaustively():
+    for k in range(1, 11):
+        for ell in range(k + 1):
+            zero_sets = [z for j in range(ell + 1) for z in combinations(range(1, k + 1), j)]
+            got = [MaskVector.from_rank(k, ell, r).zero_positions for r in range(len(zero_sets))]
+            assert got == zero_sets, (k, ell)
+            with pytest.raises(ValueError):
+                MaskVector.from_rank(k, ell, len(zero_sets))
+
+
 def test_enumerate_masks_complete_and_distinct():
     masks = list(enumerate_masks(4, 2))
     assert len(masks) == binom_leq(4, 2) == 11
