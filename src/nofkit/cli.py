@@ -39,8 +39,8 @@ from .matrices import InputMatrix, parse_matrix
 from .protocols import (
     DEFAULT_ERROR,
     InfeasibleParameters,
-    active_budget,
     exact_gip_error,
+    gip_params,
     mod3_params,
 )
 from .tape import RandomTape
@@ -179,21 +179,22 @@ def _cmd_disc(args) -> int:
 def _cmd_exact_error(args) -> int:
     with open(args.matrix) as fh:
         x = parse_matrix(fh.read())
-    if args.protocol == "gip":
-        ell = args.ell if args.ell is not None else active_budget(x.n, x.k)
-        err = exact_gip_error(x, ell)
-        out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": ell}
+    if args.protocol == "gip" and args.ell is not None:
+        err = exact_gip_error(x, args.ell)
+        out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": args.ell}
     else:
-        oracle = exact_error_oracle("mod3", x.n, x.k, DEFAULT_ERROR)
-        p = mod3_params(x.n, x.k, DEFAULT_ERROR)
+        params = gip_params if args.protocol == "gip" else mod3_params
+        p = params(x.n, x.k, DEFAULT_ERROR)
+        oracle = exact_error_oracle(args.protocol, x.n, x.k, DEFAULT_ERROR)
         if oracle is None:
             raise ValueError(
-                f"mod3 at n={x.n} k={x.k} runs {len(p['blocks'])} block(s) x "
+                f"{args.protocol} at n={x.n} k={x.k} runs {len(p['blocks'])} block(s) x "
                 f"{p['reps'][0]} repetition(s); the per-input oracle covers only "
                 "one block with one repetition"
             )
         err = oracle(x)
-        out = {"protocol": "mod3", "n": x.n, "k": x.k, "k_eff": p["k_effs"][0]}
+        width = {"ell": p["ells"][0]} if args.protocol == "gip" else {"k_eff": p["k_effs"][0]}
+        out = {"protocol": args.protocol, "n": x.n, "k": x.k, **width}
     out["exact_error"] = float(err)
     out["exact_error_repr"] = str(err)
     _write(args, json.dumps(out, sort_keys=True, indent=2) + "\n")
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--protocol", required=True, choices=["gip", "mod3"])
     p.add_argument("--matrix", required=True)
-    p.add_argument("--ell", type=int, default=None, help="gip mask budget (default: computed)")
+    p.add_argument("--ell", type=int, default=None,
+                   help="gip mask budget (default: the protocol's own, one-block shapes only)")
     p.set_defaults(handler=_cmd_exact_error)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betainccinv, betaincinv
 
 from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check
 from .core import DEFAULT_DECOMPOSE_CAP, ProtocolSpec, decompose_to_cylinders, run
@@ -247,10 +247,16 @@ def _merge(parts: list[dict]) -> dict:
 
 
 def clopper_pearson(wrong: int, trials: int, confidence: float = 0.99):
-    """Exact binomial confidence interval."""
+    """Exact binomial confidence interval.
+
+    The ends are Beta quantiles taken straight from the regularized
+    incomplete-beta inverses. SciPy's Beta ppf/isf call the same two
+    ufuncs, so the floats match theirs bit for bit, and importing the
+    package pulls in scipy.special only, not SciPy's much slower
+    statistics package."""
     alpha = 1 - confidence
-    lo = 0.0 if wrong == 0 else float(beta.ppf(alpha / 2, wrong, trials - wrong + 1))
-    hi = 1.0 if wrong == trials else float(beta.isf(alpha / 2, wrong + 1, trials - wrong))
+    lo = 0.0 if wrong == 0 else float(betaincinv(wrong, trials - wrong + 1, alpha / 2))
+    hi = 1.0 if wrong == trials else float(betainccinv(wrong + 1, trials - wrong, alpha / 2))
     return lo, hi
 
 

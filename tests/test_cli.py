@@ -159,6 +159,37 @@ def test_exact_error_ell_override(tmp_path):
     assert payload["exact_error"] == pytest.approx(1 / 3)
 
 
+def test_exact_error_gip_refuses_blocked_regime(tmp_path, capsys):
+    # gip at n=3 k=2 runs three 1-row blocks of 13 repetitions each, so no
+    # single collision probability is its error
+    x = tmp_path / "x.txt"
+    x.write_text("3 2\n10\n01\n11\n")
+    code = main(["exact-error", "--protocol", "gip", "--matrix", str(x)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "3 block(s)" in err[0] and "13 repetition(s)" in err[0]
+    # an explicit budget still answers for the whole matrix: 3 distinct rows
+    # among the 4 masks with at most 2 zeros
+    code, payload = run_json(
+        ["exact-error", "--protocol", "gip", "--matrix", str(x), "--ell", "2"],
+        tmp_path)
+    assert code == 0
+    assert payload["ell"] == 2 and payload["exact_error_repr"] == "3/4"
+
+
+def test_exact_error_gip_single_block_uses_params_budget(tmp_path):
+    # n=4 k=8 runs one block with mask budget 2: of the 37 masks with at most
+    # 2 zeros, the rows with 0 and 1 zeros collide, the 4-zero rows cannot
+    x = tmp_path / "x.txt"
+    x.write_text("4 8\n11111111\n11110000\n11111110\n00000000\n")
+    code, payload = run_json(
+        ["exact-error", "--protocol", "gip", "--matrix", str(x)], tmp_path)
+    assert code == 0
+    assert payload["ell"] == 2
+    assert payload["exact_error_repr"] == "2/37"
+
+
 def test_verify_single_suite(tmp_path):
     code, payload = run_json(["verify", "--suite", "bounds"], tmp_path)
     assert code == 0

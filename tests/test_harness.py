@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import beta
 
+import nofkit
 from nofkit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -144,6 +151,31 @@ def test_clopper_pearson_properties():
     assert lo < 0.07 < hi
     wider_lo, wider_hi = clopper_pearson(7, 100, confidence=0.999)
     assert wider_lo <= lo and wider_hi >= hi
+
+
+@pytest.mark.parametrize("confidence", [0.95, 0.99, 0.999])
+def test_clopper_pearson_bit_identical_to_beta_quantiles(confidence):
+    # the interval comes from the incomplete-beta inverses directly; it must
+    # equal the Beta distribution's ppf/isf exactly, not approximately
+    alpha = 1 - confidence
+    cases = [(w, t) for t in (*range(1, 121), 2000, 10000) for w in range(t + 1)]
+    wrong, trials = np.array(cases, dtype=float).T
+    with np.errstate(invalid="ignore"):
+        lo = np.where(wrong == 0, 0.0, beta.ppf(alpha / 2, wrong, trials - wrong + 1))
+        hi = np.where(wrong == trials, 1.0, beta.isf(alpha / 2, wrong + 1, trials - wrong))
+    want = [(float(a), float(b)) for a, b in zip(lo, hi)]
+    assert [clopper_pearson(w, t, confidence) for w, t in cases] == want
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(nofkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nofkit.cli; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    assert "nofkit.cli" in out
+    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in out)
 
 
 def test_structural_ell_values():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nofkit.matrices import (
     InputMatrix,
@@ -87,6 +89,21 @@ def test_parse_format_round_trip():
     x = parse_matrix(text)
     assert format_matrix(x) == text
     assert x.rows == (0b101, 0b110)
+
+
+@st.composite
+def small_matrices(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    return InputMatrix.from_bits(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_parse_format_round_trip_property(x):
+    assert parse_matrix(format_matrix(x)) == x
 
 
 def test_parse_rejects_bad_input():

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nofkit.tape import RandomTape
 
@@ -67,3 +69,28 @@ def test_seed_must_fit_64_bits():
         RandomTape(1 << 64)
     with pytest.raises(ValueError):
         RandomTape(-1)
+
+
+seeds = st.integers(0, (1 << 64) - 1)
+labels = st.text(max_size=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, labels)
+def test_same_seed_label_same_draws_property(seed, label):
+    a, b = RandomTape(seed), RandomTape(seed)
+    assert a.randbelow(label, 1 << 70) == b.randbelow(label, 1 << 70)
+    assert a.bitvector(label, 33) == b.bitvector(label, 33)
+    assert list(a.stream(label).integers(0, 1 << 62, size=4)) == list(
+        b.stream(label).integers(0, 1 << 62, size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, labels, labels)
+def test_sub_labels_stable_property(seed, label, other):
+    t = RandomTape(seed)
+    child = t.sub(label)
+    assert child == RandomTape(seed).sub(label)
+    assert child.sub(other) == RandomTape(seed).sub(label).sub(other)
+    assume(label != other)
+    assert child != t.sub(other)
