@@ -179,6 +179,8 @@ def _cmd_disc(args) -> int:
 def _cmd_exact_error(args) -> int:
     with open(args.matrix) as fh:
         x = parse_matrix(fh.read())
+    if args.protocol == "mod3" and args.ell is not None:
+        raise ValueError("--ell is a gip mask budget; mod3 takes no --ell")
     if args.protocol == "gip" and args.ell is not None:
         err = exact_gip_error(x, args.ell)
         out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": args.ell}

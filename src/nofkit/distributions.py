@@ -110,6 +110,9 @@ class DistributionSpec:
                 raise ValueError(f"need {lo} <= ell <= k")
         elif self.ell is not None:
             raise ValueError(f"{self.name} takes no ell")
+        if self.name == "mu" and self.k == 1 and self.n > 1:
+            # the k-1 prefix is empty, so every row is special
+            raise ValueError("mu has empty support for k=1, n>1")
 
     # -- exact pmf ---------------------------------------------------------
 
@@ -196,8 +199,6 @@ class DistributionSpec:
         elif name == "mu":
             if k == 1:
                 # vacuous prefix: only n=1 has support, the row is free
-                if n > 1:
-                    raise ValueError("mu has empty support for k=1, n>1")
                 rows = [_randbelow(rng, 2)]
             else:
                 prefix = (1 << (k - 1)) - 1

@@ -23,6 +23,10 @@ disj_protocol   set disjointness. Estimates P over random row subsets S of
 mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
                 GF(3) sum of a degree-(k-1) polynomial that agrees with XOR
                 everywhere except at a secret point, two bits per player.
+                The polynomial's coefficients have a closed form, and each
+                player's share of it is tabulated once per point (a GF(3)
+                subset-sum table), so a message costs one table lookup per
+                block row.
 """
 
 from __future__ import annotations
@@ -437,41 +441,37 @@ class Gf3Poly:
 
 
 def expand_parity_poly(point: int, k: int) -> Gf3Poly:
-    """Monomial expansion of parity_poly_eval(point, ., k)."""
+    """Monomial expansion of parity_poly_eval(point, ., k), in closed form.
+
+    prod(x_j + 1) gives every monomial x^S the coefficient 1. In
+    prod(x_j + point_j - 1) a column left out of S contributes its constant
+    point_j - 1, which is 0 where point_j = 1 and -1 elsewhere, so x^S gets
+    (-1)^(k-|S|) when S holds every column where point is 1, else nothing:
+
+        c_S = 1 - [S >= supp(point)] * (-1)^(k-|S|) - [S = {}]   (mod 3).
+    """
     if not 0 <= point < (1 << k):
         raise ValueError("point out of range")
-
-    def multiply_out(consts: list[int]) -> dict[int, int]:
-        terms = {0: 1}
-        for j, c in enumerate(consts):
-            nxt: dict[int, int] = {}
-            for mask, coeff in terms.items():
-                nxt[mask | (1 << j)] = (nxt.get(mask | (1 << j), 0) + coeff) % 3
-                if c:
-                    nxt[mask] = (nxt.get(mask, 0) + coeff * c) % 3
-            terms = {m: v for m, v in nxt.items() if v}
-        return terms
-
-    expanded = multiply_out([1] * k)  # prod (x_j + 1)
-    second = multiply_out([(((point >> j) & 1) + 2) % 3 for j in range(k)])
-    for mask, coeff in second.items():
-        expanded[mask] = (expanded.get(mask, 0) - coeff) % 3
-    expanded[0] = (expanded.get(0, 0) - 1) % 3
-    coeffs = tuple(sorted((m, c) for m, c in expanded.items() if c))
-    poly = Gf3Poly(k=k, coeffs=coeffs)
-    if poly.degree() >= k and k > 0:
+    coeffs = []
+    for mask in range(1 << k):
+        c = 0 if mask == 0 else 1
+        if mask & point == point:
+            c += 1 if (k - mask.bit_count()) & 1 else -1
+        c %= 3
+        if c:
+            coeffs.append((mask, c))
+    if k > 0 and coeffs and coeffs[-1][0] == (1 << k) - 1:
         raise AssertionError("full monomial should always cancel")
-    return poly
+    return Gf3Poly(k=k, coeffs=tuple(coeffs))
 
 
 def monomial_partition(point: int, k: int) -> dict[int, int]:
     """Map each monomial bitmask of the expansion to its assigned player:
-    the lowest-index column the monomial omits."""
-    out = {}
-    for mask, _ in expand_parity_poly(point, k).coeffs:
-        player = next(j for j in range(1, k + 1) if not (mask >> (j - 1)) & 1)
-        out[mask] = player
-    return out
+    the lowest-index column the monomial omits (the lowest zero bit)."""
+    return {
+        mask: (~mask & (mask + 1)).bit_length()
+        for mask, _ in expand_parity_poly(point, k).coeffs
+    }
 
 
 def mod3_base_value(x: InputMatrix, point: int) -> int:
@@ -501,7 +501,7 @@ def _fold_width(rows: int, k: int) -> int:
 def _effective_row(masked: int, k_eff: int) -> int:
     """Fold columns k_eff..k of a masked row into the single bit k_eff."""
     low = (1 << (k_eff - 1)) - 1
-    fold = bin(masked >> (k_eff - 1)).count("1") & 1
+    fold = (masked >> (k_eff - 1)).bit_count() & 1
     return (masked & low) | (fold << (k_eff - 1))
 
 
@@ -532,6 +532,53 @@ def mod3_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
     }
 
 
+def mod3_message_tables(point: int, k_eff: int) -> dict[int, list[int]]:
+    """Per player i, the GF(3) table its message reads at this point.
+
+    Player i owns the monomials that hold columns 1..i-1 and omit column i,
+    so such a monomial lies inside an effective row v exactly when v holds
+    columns 1..i-1 and the monomial's columns above i lie inside v >> i.
+    ``tables[i][w]`` sums i's coefficients over the monomials whose columns
+    above i form a subset of w: a subset-sum (zeta) transform over those
+    k_eff - i columns, 2^k_eff - 1 entries in all. No table is indexed by
+    column i, so the message never reads the hidden bit.
+    """
+    poly = expand_parity_poly(point, k_eff)
+    owners = monomial_partition(point, k_eff)
+    tables = {i: [0] * (1 << (k_eff - i)) for i in range(1, k_eff + 1)}
+    for mask, coeff in poly.coeffs:
+        i = owners[mask]
+        tables[i][mask >> i] = coeff
+    for i, table in tables.items():
+        size = len(table)
+        step = 1
+        while step < size:
+            for base in range(step, size, 2 * step):
+                for v in range(base, base + step):
+                    table[v] += table[v - step]
+            step *= 2
+        tables[i] = [t % 3 for t in table]
+    return tables
+
+
+def _mod3_message(
+    rows: Sequence[int], table: Sequence[int], player: int, k_eff: int
+) -> Callable[[View], str]:
+    """Player ``player``'s two-bit GF(3) message for one block and point:
+    one table lookup per block row that holds columns 1..player-1."""
+    need = (1 << (player - 1)) - 1
+
+    def fn(view: View) -> str:
+        total = 0
+        for ri in rows:
+            eff = _effective_row(view.masked_row(ri), k_eff)
+            if eff & need == need:
+                total += table[eff >> player]
+        return _GF3_BITS[total % 3]
+
+    return fn
+
+
 def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     """Randomized simultaneous protocol for [sum of row XORs divisible by 3].
 
@@ -539,9 +586,11 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     monomial of the parity polynomial omits some column, so each of players
     1..k_eff broadcasts the GF(3) sum of the monomials assigned to it (two
     bits). Columns k_eff..k are folded by XOR into one virtual column that
-    every speaking player can compute from its view. Per-block values are
-    plurality-voted across repetitions, summed mod 3, and the output is 1
-    iff the sum is 0 (i.e. 1 - value^2 over GF(3)).
+    every speaking player can compute from its view. The plan turns each
+    player's monomials into one table (``mod3_message_tables``) at build
+    time; the message then sums one table entry per block row. Per-block
+    values are plurality-voted across repetitions, summed mod 3, and the
+    output is 1 iff the sum is 0 (i.e. 1 - value^2 over GF(3)).
     """
     eps = Fraction(eps)
     params = mod3_params(n, k, eps)
@@ -557,25 +606,10 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
             spans = []
             for r in range(reps):
                 point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
-                assigned: dict[int, list[tuple[int, int]]] = {
-                    i: [] for i in range(1, k_eff + 1)
-                }
-                poly = expand_parity_poly(point, k_eff)
-                owners = monomial_partition(point, k_eff)
-                for mask, coeff in poly.coeffs:
-                    assigned[owners[mask]].append((mask, coeff))
+                tables = mod3_message_tables(point, k_eff)
                 start = len(slots)
                 for i in range(1, k_eff + 1):
-                    def fn(view, _rows=block, _items=tuple(assigned[i]), _ke=k_eff):
-                        total = 0
-                        for ri in _rows:
-                            eff = _effective_row(view.masked_row(ri), _ke)
-                            for mask, coeff in _items:
-                                if eff & mask == mask:
-                                    total += coeff
-                        return _GF3_BITS[total % 3]
-
-                    slots.append((i, 2, fn))
+                    slots.append((i, 2, _mod3_message(block, tables[i], i, k_eff)))
                 spans.append((start, len(slots)))
             shape.append(spans)
 

@@ -147,6 +147,17 @@ def test_exact_error_mod3_single_block_uses_params_width(tmp_path):
     assert payload["exact_error_repr"] == "1/8"
 
 
+def test_exact_error_mod3_refuses_ell(tmp_path, capsys):
+    x = tmp_path / "x.txt"
+    x.write_text("2 3\n111\n011\n")
+    code = main(["exact-error", "--protocol", "mod3", "--matrix", str(x), "--ell", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--ell" in err[0]
+    assert captured.out == ""
+
+
 def test_exact_error_ell_override(tmp_path):
     x = tmp_path / "x.txt"
     x.write_text("2 2\n11\n00\n")

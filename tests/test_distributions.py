@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nofkit.combinatorics import band_size
 from nofkit.distributions import (
+    _NAMES,
     DistributionSpec,
     _row_with_zero_count_range,
     make_dist,
@@ -118,6 +121,33 @@ def test_validation_messages():
         make_dist("nope", 2, 2)
     with pytest.raises(ValueError):
         make_dist("uniform", 2, 2).pmf(InputMatrix.from_bits([[1]]))
+
+
+@st.composite
+def named_shapes(draw):
+    name = draw(st.sampled_from(_NAMES))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8 // n))
+    ell = None
+    if name == "upsilon":
+        ell = draw(st.integers(0, k))
+    elif name.endswith("_ell"):
+        ell = draw(st.integers(1, k))
+    return name, n, k, ell
+
+
+@settings(max_examples=80, deadline=None)
+@given(named_shapes())
+def test_pmf_sums_to_exactly_one_property(case):
+    name, n, k, ell = case
+    if name == "mu" and k == 1 and n > 1:
+        with pytest.raises(ValueError):  # no matrix has exactly one special row
+            make_dist(name, n, k, ell=ell)
+        return
+    d = make_dist(name, n, k, ell=ell)
+    probs = [d.pmf(x) for x in every_matrix(n, k)]
+    assert all(isinstance(p, Fraction) for p in probs)
+    assert sum(probs) == Fraction(1)
 
 
 def test_mu_k1_edge():

@@ -1,7 +1,7 @@
 """Golden pins on the random streams.
 
 A failure here means a change moved what a fixed seed draws: sampled
-inputs, mask draws or whole simulate reports. Such a change must be
+inputs, mask draws, whole simulate reports or mod3 transcripts. Such a change must be
 deliberate, re-record these pins, and say so in CHANGES.md.
 """
 
@@ -11,8 +11,12 @@ import json
 import numpy as np
 import pytest
 
+from nofkit.core import run
 from nofkit.distributions import make_dist
 from nofkit.harness import ExperimentConfig, simulate
+from nofkit.matrices import InputMatrix
+from nofkit.protocols import mod3_protocol
+from nofkit.tape import RandomTape
 
 
 def digest(value) -> str:
@@ -50,3 +54,26 @@ def test_simulate_reports_are_pinned(protocol, n, k, source, trials, want):
     report = simulate(cfg)
     del report["wall_clock_s"]
     assert digest(report) == want
+
+
+@pytest.mark.parametrize(
+    "n, k, want",
+    [
+        (128, 8, "eeeb5ea2ab00bdaa"),  # 2 blocks x 9 repetitions, k_eff 8
+        (4, 8, "e18f2bcc64523224"),  # one block, columns 4..8 folded
+        (3, 4, "73afb6ada8564306"),  # one block, k_eff = k
+        (3, 2, "c3220447c977ffc1"),  # gap regime: one-row blocks x 13 repetitions
+    ],
+)
+def test_mod3_transcripts_are_pinned(n, k, want):
+    # every (player, bits) entry and the output of 50 runs: a changed
+    # message bit shows here even when no report changes
+    protocol = mod3_protocol(n, k)
+    rng = np.random.default_rng(n * 1000 + k)
+    master = RandomTape(master_seed=2026)
+    runs = []
+    for t in range(50):
+        x = InputMatrix(k=k, rows=tuple(int(r) for r in rng.integers(0, 1 << k, size=n)))
+        outcome = run(protocol, x, master.sub(f"run{t}"))
+        runs.append([[list(e) for e in outcome.transcript.entries], outcome.output])
+    assert digest(runs) == want
