@@ -22,7 +22,7 @@ from .discrepancy import (
     heuristic_disc,
     mod3_char_array,
 )
-from .distributions import make_dist
+from .distributions import parse_dist_string
 from .functions import disj_spec, eval_disj, eval_gip, gip_spec
 from .harness import (
     CSV_HEADER,
@@ -59,17 +59,6 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _source_from_args(args) -> str:
-    given = [
-        name
-        for name, on in [
-            ("--dist", args.dist is not None),
-            ("--matrix", args.matrix is not None),
-            ("--exhaustive", args.exhaustive),
-        ]
-        if on
-    ]
-    if len(given) > 1:
-        raise SystemExit(f"choose one input source, got {', '.join(given)}")
     if args.matrix:
         return f"file:{args.matrix}"
     if args.exhaustive:
@@ -137,19 +126,8 @@ def _cmd_disc(args) -> int:
         target = gip_spec(n, k)
     else:
         target = disj_spec(n, k)
-    weight = None
-    if args.dist and args.dist != "uniform":
-        name, _, extra = args.dist.partition(":")
-        dist_ell = None
-        if extra:
-            key, _, val = extra.partition("=")
-            if key != "ell":
-                raise SystemExit(f"unknown dist option {extra!r}")
-            dist_ell = int(val)
-        weight = make_dist(name, n, k, ell=dist_ell)
     family = args.ell
-
-    q = CorrelationQuery(target=target, weight=weight, family=family)
+    q = CorrelationQuery(target=target, weight=parse_dist_string(args.dist, n, k), family=family)
     if args.mode == "exact":
         value = exact_disc(q, cap=args.cap)
     elif args.mode == "heuristic":
@@ -166,7 +144,7 @@ def _cmd_disc(args) -> int:
             checks.append({"name": row["name"], "bound": row["bound"], "status": row["status"]})
 
     out = {
-        "instance": {"fn": args.fn, "n": n, "k": k, "dist": args.dist or "uniform", "ell": family},
+        "instance": {"fn": args.fn, "n": n, "k": k, "dist": args.dist, "ell": family},
         "mode": args.mode,
         "value": float(value),
         "value_repr": str(value),
@@ -239,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", default="1/3", help="target error, e.g. 1/3 or 0.25")
-    p.add_argument("--dist", default=None, help="input distribution name, e.g. sigma or upsilon:ell=2")
-    p.add_argument("--matrix", default=None, help="fixed input matrix file")
-    p.add_argument("--exhaustive", action="store_true", help="cycle all matrices in code order")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dist", default=None, help="input distribution NAME[:ell=N] (default uniform)")
+    source.add_argument("--matrix", default=None, help="fixed input matrix file")
+    source.add_argument("--exhaustive", action="store_true", help="cycle all matrices in code order")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exact-y", dest="exact_y", action="store_true",
@@ -262,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True, choices=["gip", "disj", "mod3char"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--dist", default=None, help="weight distribution (default uniform)")
+    p.add_argument("--dist", default="uniform", help="weight distribution NAME[:ell=N]")
     p.add_argument("--mode", choices=["exact", "heuristic", "bns"], default="exact")
     p.add_argument("--ell", type=int, default=None, help="restrict cylinders to ell-player subsets")
     p.add_argument("--cap", type=int, default=DEFAULT_DISC_CAP)

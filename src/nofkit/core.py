@@ -17,7 +17,7 @@ smuggle information around the bit count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +102,15 @@ def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape, ns: str = "") -> Prot
     return ProtocolOutcome(output=output, transcript=transcript, cost_bits=transcript.cost_bits)
 
 
+def plurality(values: Iterable[int], q: int) -> int:
+    """The most frequent value in range(q), the smallest on ties: the one
+    vote of the package. For q = 2 and an odd count it is the majority."""
+    counts = [0] * q
+    for v in values:
+        counts[v] += 1
+    return counts.index(max(counts))
+
+
 def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
     """Majority vote over t independent repetitions.
 
@@ -127,7 +136,7 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
     def output_rule(transcript, tape, ns):
         per_player = {i: transcript.player_bits(i) for i in range(1, base.k + 1)}
         offsets = dict.fromkeys(per_player, 0)
-        votes = 0
+        votes = []
         for r in range(t):
             rep_ns = f"{ns}rep{r}/"
             entries = []
@@ -137,8 +146,8 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
                     piece = per_player[i][offsets[i] : offsets[i] + ln]
                     offsets[i] += ln
                     entries.append((i, piece))
-            votes += base.output_rule(Transcript(entries=tuple(entries)), tape, rep_ns)
-        return 1 if 2 * votes > t else 0
+            votes.append(base.output_rule(Transcript(entries=tuple(entries)), tape, rep_ns))
+        return plurality(votes, 2)
 
     return ProtocolSpec(
         family=base.family,

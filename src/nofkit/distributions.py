@@ -2,7 +2,8 @@
 
 Names (CLI spelling in parentheses):
 
-- uniform          all n x k matrices equally likely
+- uniform          all n x k matrices equally likely (drawn as upsilon at
+                   ell = k: the same law and the same stream)
 - upsilon          rows iid uniform over rows with at most ``ell`` zeros
 - mu               uniform over matrices where exactly one row has its first
                    k-1 entries all ones
@@ -192,10 +193,9 @@ class DistributionSpec:
             pick = "sigma1_ell" if _randbelow(rng, 2) else "sigma0_ell"
             return DistributionSpec(pick, n, k, self.ell).sample(rng)
 
-        if name == "uniform":
-            rows = [_randbelow(rng, 1 << k) for _ in range(n)]
-        elif name == "upsilon":
-            rows = [_row_with_zero_count_range(rng, k, 0, self.ell) for _ in range(n)]
+        if name in ("uniform", "upsilon"):
+            ell = k if name == "uniform" else self.ell
+            rows = [_row_with_zero_count_range(rng, k, 0, ell) for _ in range(n)]
         elif name == "mu":
             if k == 1:
                 # vacuous prefix: only n=1 has support, the row is free
@@ -250,17 +250,29 @@ def make_dist(name: str, n: int, k: int, ell: Optional[int] = None) -> Distribut
     return DistributionSpec(name=name, n=n, k=k, ell=ell)
 
 
-def parse_dist_string(spec: str) -> DistributionSpec:
-    """Parse CLI strings like "sigma:n=4,k=3" or "upsilon:n=4,k=6,ell=2"."""
-    name, _, args = spec.partition(":")
-    if not args:
-        raise ValueError("expected NAME:n=...,k=...[,ell=...]")
-    kv = {}
-    for part in args.split(","):
+def parse_dist_string(
+    spec: str, n: Optional[int] = None, k: Optional[int] = None
+) -> DistributionSpec:
+    """Parse "NAME[:key=val,...]", e.g. "sigma:n=4,k=3" or "upsilon:n=4,k=6,ell=2".
+
+    When the caller fixes the shape (n and k given, as the CLI does), only
+    ell may be set: "upsilon:ell=2". Unknown or repeated keys and
+    non-integer values are refused.
+    """
+    name, colon, args = spec.partition(":")
+    allowed = ("ell",) if n is not None else ("n", "k", "ell")
+    kv: dict[str, int] = {}
+    for part in args.split(",") if colon else ():
         key, _, val = part.partition("=")
-        if key not in ("n", "k", "ell") or not val:
-            raise ValueError(f"bad distribution parameter {part!r}")
-        kv[key] = int(val)
-    if "n" not in kv or "k" not in kv:
-        raise ValueError("distribution string needs n= and k=")
-    return make_dist(name.strip(), kv["n"], kv["k"], kv.get("ell"))
+        if key not in allowed or key in kv:
+            why = "given twice" if key in kv else f"not one of {', '.join(allowed)}"
+            raise ValueError(f"distribution {spec!r}: key {key!r} {why}")
+        try:
+            kv[key] = int(val)
+        except ValueError:
+            raise ValueError(f"distribution {spec!r}: {key}={val!r} is not an integer") from None
+    if n is None:
+        if "n" not in kv or "k" not in kv:
+            raise ValueError(f"distribution {spec!r}: needs n= and k=")
+        n, k = kv["n"], kv["k"]
+    return make_dist(name.strip(), n, k, kv.get("ell"))

@@ -23,7 +23,7 @@ from scipy.special import betainccinv, betaincinv
 from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check
 from .core import DEFAULT_DECOMPOSE_CAP, ProtocolSpec, decompose_to_cylinders, run
 from .discrepancy import bound_suite
-from .distributions import make_dist
+from .distributions import parse_dist_string
 from .functions import (
     UNDEFINED,
     eval_composed,
@@ -34,6 +34,7 @@ from .functions import (
 )
 from .matrices import InputMatrix, parse_matrix
 from .protocols import (
+    DISJ_SUBCALL_ERROR,
     InfeasibleParameters,
     MaskVector,
     disj_params,
@@ -99,20 +100,6 @@ class ExperimentConfig:
             raise ValueError("exact_y: only the gip protocol enumerates masks")
 
 
-def _dist_from_source(cfg: ExperimentConfig):
-    parts = cfg.source.split(":")
-    name = parts[1] if len(parts) > 1 else "uniform"
-    ell = None
-    for extra in parts[2:]:
-        key, _, val = extra.partition("=")
-        if key != "ell":
-            raise ValueError(f"source: unknown option {extra!r}")
-        ell = int(val)
-    if name == "uniform":
-        return make_dist("upsilon", cfg.n, cfg.k, ell=cfg.k)
-    return make_dist(name, cfg.n, cfg.k, ell=ell)
-
-
 def _draw_input(cfg: ExperimentConfig, trial: int, tape: RandomTape, fixed) -> InputMatrix:
     kind = cfg.source.split(":", 1)[0]
     if kind == "exhaustive":
@@ -129,7 +116,7 @@ def structural_ell(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int
         return max(gip_params(n, k, eps)["ells"])
     if protocol == "disj":
         disj_params(n, k, eps)
-        return max(gip_params(n, k, Fraction(1, 16))["ells"])
+        return max(gip_params(n, k, DISJ_SUBCALL_ERROR)["ells"])
     return max(mod3_params(n, k, eps)["k_effs"])
 
 
@@ -170,7 +157,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
         if (fixed.n, fixed.k) != (cfg.n, cfg.k):
             raise ValueError("source: matrix file shape disagrees with config")
     elif kind == "dist":
-        fixed = _dist_from_source(cfg)
+        fixed = parse_dist_string(cfg.source.partition(":")[2], cfg.n, cfg.k)
 
     oracle = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps)
     acc = {
@@ -279,11 +266,6 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """
     t0 = time.monotonic()
     eps = parse_eps(cfg.eps)
-    if cfg.exact_y:
-        p = gip_params(cfg.n, cfg.k, eps)
-        if len(p["blocks"]) != 1 or p["reps"] != [1]:
-            raise ValueError("exact_y: needs the single-block, single-rep regime")
-
     cfg_dict = asdict(cfg)
     workers = effective_workers(workers, cfg.trials)
     if workers <= 1 or cfg.trials < 2 * workers:

@@ -38,7 +38,7 @@ from math import ceil, log
 from typing import Callable, Optional, Sequence, Union
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
-from .core import ProtocolSpec, Transcript
+from .core import ProtocolSpec, Transcript, plurality
 from .matrices import InputMatrix, View
 from .tape import RandomTape
 
@@ -124,7 +124,7 @@ Slot = tuple[int, int, Callable[[View], str]]  # (player, bit width, compute)
 @dataclass
 class _Plan:
     slots: list[Slot]
-    output: Callable[[list[str]], int]
+    output: Callable[[list[int]], int]  # slot values, each decoded as a binary int
     by_player: dict[int, list[Slot]] = field(init=False)  # slots in plan order
 
     def __post_init__(self):
@@ -168,7 +168,7 @@ def _plan_protocol(
             if len(piece) != width:
                 raise ValueError("transcript shorter than the plan requires")
             cursor[player] = at + width
-            values.append(piece)
+            values.append(int(piece, 2))
         return plan.output(values)
 
     return ProtocolSpec(
@@ -185,10 +185,6 @@ def _plan_protocol(
     )
 
 
-# ---------------------------------------------------------------------------
-# GIP
-
-
 def _partition_rows(row_ids: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """One block when 2^k >= 3n, else consecutive blocks of floor(2^k / 3)."""
     n = len(row_ids)
@@ -198,6 +194,53 @@ def _partition_rows(row_ids: Sequence[int], k: int) -> list[tuple[int, ...]]:
     if size == 0:
         raise InfeasibleParameters(f"k={k} leaves no room to partition rows")
     return [tuple(row_ids[a : a + size]) for a in range(0, n, size)]
+
+
+def _blocks_and_reps(
+    row_ids: Sequence[int], k: int, eps: Fraction
+) -> tuple[list[tuple[int, ...]], int]:
+    """The layout every protocol runs: row blocks small enough for the shared
+    mask or point space, and the odd repetition count that brings each
+    block's vote to error eps / blocks, so the blocks sum to error <= eps."""
+    blocks = _partition_rows(row_ids, k)
+    return blocks, smallest_odd_majority(GIP_BASE_ERROR, eps / len(blocks))
+
+
+def _voted_blocks(
+    blocks: Sequence[tuple[int, ...]],
+    reps: int,
+    q: int,
+    rep_slots: Callable[[int, tuple[int, ...], int], list[Slot]],
+) -> tuple[list[Slot], Callable[[Sequence[int]], int]]:
+    """Slots plus value function of the block-and-vote skeleton over Z_q.
+
+    rep_slots(b, block, r) gives the slots of repetition r of block b, called
+    in block-then-repetition order (the order of the tape draws). A
+    repetition's answer is the sum of its slot values mod q, a block's
+    answer the plurality of its repetitions, the value the sum of the block
+    answers mod q.
+    """
+    slots: list[Slot] = []
+    spans: list[list[tuple[int, int]]] = []  # per block, per rep: slot range
+    for b, block in enumerate(blocks):
+        block_spans = []
+        for r in range(reps):
+            start = len(slots)
+            slots.extend(rep_slots(b, block, r))
+            block_spans.append((start, len(slots)))
+        spans.append(block_spans)
+
+    def value(vals: Sequence[int]) -> int:
+        return sum(
+            plurality((sum(vals[a:z]) % q for a, z in block_spans), q)
+            for block_spans in spans
+        ) % q
+
+    return slots, value
+
+
+# ---------------------------------------------------------------------------
+# GIP
 
 
 def mask_label(ns: str, block: int, rep: int) -> str:
@@ -225,45 +268,25 @@ def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k
 
 def _gip_rows_plan(
     row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, ns: str
-) -> tuple[list[Slot], Callable[[list[str]], int], int]:
+) -> tuple[list[Slot], Callable[[Sequence[int]], int]]:
     """Slots plus value function computing GIP of the given rows, err <= eps."""
-    blocks = _partition_rows(row_ids, k)
-    budget = eps / len(blocks)
-    slots: list[Slot] = []
-    shape: list[list[tuple[int, int]]] = []  # per block, per rep: slot range
-    ceiling = 0
-    for b, block in enumerate(blocks):
-        ell = active_budget(len(block), k, GIP_BASE_ERROR)
-        reps = smallest_odd_majority(GIP_BASE_ERROR, budget)
-        ceiling += reps * ell
-        spans = []
-        for r in range(reps):
-            rank = tape.randbelow(mask_label(ns, b, r), binom_leq(k, ell))
-            mask = MaskVector.from_rank(k, ell, rank)
-            zeros = mask.zero_positions
-            start = len(slots)
-            for ordinal, z in enumerate(zeros, start=1):
-                def fn(view, _rows=block, _zeros=zeros, _ord=ordinal, _k=k):
-                    masked = [view.masked_row(i) for i in _rows]
-                    return str(gip_broadcast_bit(masked, _zeros, _ord, _k))
+    blocks, reps = _blocks_and_reps(row_ids, k, eps)
+    ells = [active_budget(len(block), k, GIP_BASE_ERROR) for block in blocks]
+    spaces = [binom_leq(k, ell) for ell in ells]
 
-                slots.append((z, 1, fn))
-            spans.append((start, len(slots)))
-        shape.append(spans)
+    def rep_slots(b: int, block: tuple[int, ...], r: int) -> list[Slot]:
+        rank = tape.randbelow(mask_label(ns, b, r), spaces[b])
+        zeros = MaskVector.from_rank(k, ells[b], rank).zero_positions
+        slots = []
+        for ordinal, z in enumerate(zeros, start=1):
+            def fn(view, _rows=block, _zeros=zeros, _ord=ordinal, _k=k):
+                masked = [view.masked_row(i) for i in _rows]
+                return str(gip_broadcast_bit(masked, _zeros, _ord, _k))
 
-    def value(bits: list[str]) -> int:
-        total = 0
-        for spans in shape:
-            votes = 0
-            for a, b_ in spans:
-                rep = 0
-                for s in range(a, b_):
-                    rep ^= int(bits[s])
-                votes += rep
-            total ^= 1 if 2 * votes > len(spans) else 0
-        return total
+            slots.append((z, 1, fn))
+        return slots
 
-    return slots, value, ceiling
+    return _voted_blocks(blocks, reps, 2, rep_slots)
 
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -273,15 +296,13 @@ def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
         raise ValueError("need 0 < eps < 1")
     if (1 << k) < n:
         raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    blocks = _partition_rows(range(n), k)
-    budget = eps / len(blocks)
+    blocks, reps = _blocks_and_reps(range(n), k, eps)
     ells = [active_budget(len(b), k, GIP_BASE_ERROR) for b in blocks]
-    reps = [smallest_odd_majority(GIP_BASE_ERROR, budget) for _ in blocks]
     return {
         "blocks": [len(b) for b in blocks],
         "ells": ells,
-        "reps": reps,
-        "cost_ceiling": sum(t * e for t, e in zip(reps, ells)),
+        "reps": [reps] * len(blocks),
+        "cost_ceiling": reps * sum(ells),
     }
 
 
@@ -291,8 +312,8 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     params = gip_params(n, k, eps)
 
     def builder(tape: RandomTape, ns: str) -> _Plan:
-        slots, value, _ = _gip_rows_plan(tuple(range(n)), k, eps, tape, ns)
-        return _Plan(slots=slots, output=lambda bits: value(bits))
+        slots, value = _gip_rows_plan(tuple(range(n)), k, eps, tape, ns)
+        return _Plan(slots=slots, output=value)
 
     return _plan_protocol("gip", n, k, float(eps), builder, params["cost_ceiling"])
 
@@ -344,13 +365,14 @@ def disj_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
     if (1 << k) < n:
         raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
     trials = ceil(log(1 / float(eps)) / (2 * float(DISJ_GAP) ** 2))
-    sub_reps = smallest_odd_majority(GIP_BASE_ERROR, DISJ_SUBCALL_ERROR)
-    sub_ceiling = gip_params(n, k, DISJ_SUBCALL_ERROR)["cost_ceiling"]
+    # the full-row subcall has the most blocks, so the most repetitions
+    # and the most bits of any row subset
+    full = gip_params(n, k, DISJ_SUBCALL_ERROR)
     return {
         "trials": trials,
-        "subcall_reps": sub_reps,
+        "subcall_reps": max(full["reps"]),
         "subcall_error": DISJ_SUBCALL_ERROR,
-        "cost_ceiling": trials * sub_ceiling,
+        "cost_ceiling": trials * full["cost_ceiling"],
     }
 
 
@@ -375,17 +397,17 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
             if not rows:
                 finishers.append(((len(slots), len(slots)), None))  # empty: gip = 0
                 continue
-            sub_slots, sub_value, _ = _gip_rows_plan(
+            sub_slots, sub_value = _gip_rows_plan(
                 rows, k, DISJ_SUBCALL_ERROR, tape, f"{ns}disj/t{t}/"
             )
             span = (len(slots), len(slots) + len(sub_slots))
             slots.extend(sub_slots)
             finishers.append((span, sub_value))
 
-        def output(bits: list[str]) -> int:
+        def output(vals: list[int]) -> int:
             zeros = 0
             for (a, b), value in finishers:
-                ans = 0 if value is None else value(bits[a:b])
+                ans = 0 if value is None else value(vals[a:b])
                 zeros += 1 if ans == 0 else 0
             return 1 if zeros >= DISJ_ZERO_THRESHOLD * trials else 0
 
@@ -518,17 +540,15 @@ def mod3_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
         raise ValueError("need 0 < eps < 1")
     if (1 << k) < n:
         raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    blocks = _partition_rows(range(n), k)
-    budget = eps / len(blocks)
+    blocks, reps = _blocks_and_reps(range(n), k, eps)
     k_effs = [_fold_width(len(b), k) for b in blocks]
     if any(ke > k for ke in k_effs):
         raise InfeasibleParameters("block does not fit its effective width")
-    reps = [smallest_odd_majority(GIP_BASE_ERROR, budget) for _ in blocks]
     return {
         "blocks": [len(b) for b in blocks],
         "k_effs": k_effs,
-        "reps": reps,
-        "cost_ceiling": sum(t * 2 * ke for t, ke in zip(reps, k_effs)),
+        "reps": [reps] * len(blocks),
+        "cost_ceiling": reps * 2 * sum(k_effs),
     }
 
 
@@ -594,38 +614,17 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     """
     eps = Fraction(eps)
     params = mod3_params(n, k, eps)
-    blocks = _partition_rows(range(n), k)
-    budget = eps / len(blocks)
+    blocks, reps = _blocks_and_reps(range(n), k, eps)
+    k_effs = params["k_effs"]
 
     def builder(tape: RandomTape, ns: str) -> _Plan:
-        slots: list[Slot] = []
-        shape: list[list[tuple[int, int]]] = []
-        for b, block in enumerate(blocks):
-            k_eff = params["k_effs"][b]
-            reps = smallest_odd_majority(GIP_BASE_ERROR, budget)
-            spans = []
-            for r in range(reps):
-                point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
-                tables = mod3_message_tables(point, k_eff)
-                start = len(slots)
-                for i in range(1, k_eff + 1):
-                    slots.append((i, 2, _mod3_message(block, tables[i], i, k_eff)))
-                spans.append((start, len(slots)))
-            shape.append(spans)
+        def rep_slots(b: int, block: tuple[int, ...], r: int) -> list[Slot]:
+            k_eff = k_effs[b]
+            point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
+            tables = mod3_message_tables(point, k_eff)
+            return [(i, 2, _mod3_message(block, tables[i], i, k_eff)) for i in range(1, k_eff + 1)]
 
-        def output(bits: list[str]) -> int:
-            total = 0
-            for spans in shape:
-                votes = [0, 0, 0]
-                for a, b_ in spans:
-                    val = 0
-                    for s in range(a, b_):
-                        val += int(bits[s], 2)
-                    votes[val % 3] += 1
-                best = max(votes)
-                total += votes.index(best)  # deterministic tie-break: smallest value
-            return 1 if total % 3 == 0 else 0
-
-        return _Plan(slots=slots, output=output)
+        slots, value = _voted_blocks(blocks, reps, 3, rep_slots)
+        return _Plan(slots=slots, output=lambda vals: int(value(vals) == 0))
 
     return _plan_protocol("mod3", n, k, float(eps), builder, params["cost_ceiling"])

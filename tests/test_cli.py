@@ -226,3 +226,22 @@ def test_bad_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--protocol", "nope", "--n", "2", "--k", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("dist", ["upsilon:foo=1", "upsilon:ell=2:ell=3", "upsilon:ell=2,ell=3"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--protocol", "gip", "--n", "4", "--k", "6", "--trials", "4"],
+    ["disc", "--fn", "gip", "--n", "2", "--k", "2"],
+])
+def test_bad_dist_string_is_one_error_line(command, dist, capsys):
+    code = main(command + ["--dist", dist])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and dist in err[0]
+
+
+def test_source_flags_conflict_is_an_argparse_error():
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--protocol", "gip", "--n", "1", "--k", "2",
+              "--dist", "sigma", "--exhaustive"])
+    assert info.value.code == 2

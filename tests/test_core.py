@@ -9,6 +9,7 @@ from nofkit.core import (
     all_ones_cylinder,
     amplify,
     decompose_to_cylinders,
+    plurality,
     run,
 )
 from nofkit.matrices import InputMatrix
@@ -201,6 +202,21 @@ def test_amplify_error_decreases_with_reps():
         wrong = sum(run(p, x, master.sub(f"{t}/{i}")).output == 0 for i in range(800))
         rates.append(wrong / 800)
     assert rates[0] > rates[1] > rates[2]
+
+
+def test_plurality_is_majority_for_odd_binary_votes():
+    for t in (1, 3, 5, 7):
+        for code in range(1 << t):
+            votes = [(code >> j) & 1 for j in range(t)]
+            assert plurality(votes, 2) == (1 if 2 * sum(votes) > t else 0)
+
+
+def test_plurality_breaks_ties_toward_the_smallest_value():
+    assert plurality([2, 1], 3) == 1
+    assert plurality([2, 0, 1], 3) == 0
+    assert plurality([2, 2, 1, 1, 0], 3) == 1
+    assert plurality([2, 2, 1], 3) == 2
+    assert plurality([], 3) == 0
 
 
 def test_cylinder_evaluate_ignores_unconstrained_players():

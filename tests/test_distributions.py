@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,16 @@ def test_upsilon_full_budget_is_uniform():
     a = make_dist("upsilon", 2, 3, ell=3)
     for x in every_matrix(2, 3):
         assert a.pmf(x) == Fraction(1, 1 << 6)
+
+
+@pytest.mark.parametrize("n, k", [(6, 12), (3, 70)])
+def test_uniform_draws_the_upsilon_full_budget_stream(n, k):
+    # one meaning of uniform: same rows as upsilon at ell = k, draw for draw
+    # (k = 70 puts the band above 2^63, where draws take the byte path)
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    uniform, upsilon = make_dist("uniform", n, k), make_dist("upsilon", n, k, ell=k)
+    for _ in range(20):
+        assert uniform.sample(a).rows == upsilon.sample(b).rows
 
 
 def test_upsilon_restricts_zero_count():
@@ -211,3 +222,21 @@ def test_parse_dist_string():
         parse_dist_string("sigma:n=4")
     with pytest.raises(ValueError):
         parse_dist_string("sigma:n=4,k=3,zz=9")
+
+
+def test_parse_dist_string_with_fixed_shape():
+    d = parse_dist_string("upsilon:ell=2", 4, 6)
+    assert (d.name, d.n, d.k, d.ell) == ("upsilon", 4, 6, 2)
+    assert parse_dist_string("uniform", 4, 6) == make_dist("uniform", 4, 6)
+    for bad, words in [
+        ("upsilon:foo=1", "'foo' not one of ell"),
+        ("upsilon:n=4", "'n' not one of ell"),
+        ("upsilon:ell=2,ell=3", "'ell' given twice"),
+        ("upsilon:ell=two", "not an integer"),
+        ("upsilon:ell=2:ell=3", "not an integer"),
+        ("upsilon:", "not one of ell"),
+        ("uniform:ell=2", "takes no ell"),
+        ("nope", "unknown distribution"),
+    ]:
+        with pytest.raises(ValueError, match=words):
+            parse_dist_string(bad, 4, 6)

@@ -214,6 +214,13 @@ def test_disj_params_anchor():
     assert p["cost_ceiling"] == 672
 
 
+def test_disj_params_subcall_reps_follow_the_blocked_layout():
+    # 2^4 < 3 * 16, so a full-row subcall runs 4 blocks, each voted to 1/64
+    assert gip_params(16, 4, Fraction(1, 16))["reps"] == [39] * 4
+    assert disj_params(16, 4)["subcall_reps"] == 39
+    assert disj_params(16, 16)["subcall_reps"] == 21
+
+
 def test_disj_params_infeasible():
     with pytest.raises(InfeasibleParameters):
         disj_params(4, 1)

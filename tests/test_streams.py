@@ -1,7 +1,7 @@
 """Golden pins on the random streams.
 
 A failure here means a change moved what a fixed seed draws: sampled
-inputs, mask draws, whole simulate reports or mod3 transcripts. Such a change must be
+inputs, mask draws, whole simulate reports or protocol transcripts. Such a change must be
 deliberate, re-record these pins, and say so in CHANGES.md.
 """
 
@@ -15,7 +15,7 @@ from nofkit.core import run
 from nofkit.distributions import make_dist
 from nofkit.harness import ExperimentConfig, simulate
 from nofkit.matrices import InputMatrix
-from nofkit.protocols import mod3_protocol
+from nofkit.protocols import disj_protocol, gip_protocol, mod3_protocol
 from nofkit.tape import RandomTape
 
 
@@ -69,6 +69,27 @@ def test_mod3_transcripts_are_pinned(n, k, want):
     # every (player, bits) entry and the output of 50 runs: a changed
     # message bit shows here even when no report changes
     protocol = mod3_protocol(n, k)
+    rng = np.random.default_rng(n * 1000 + k)
+    master = RandomTape(master_seed=2026)
+    runs = []
+    for t in range(50):
+        x = InputMatrix(k=k, rows=tuple(int(r) for r in rng.integers(0, 1 << k, size=n)))
+        outcome = run(protocol, x, master.sub(f"run{t}"))
+        runs.append([[list(e) for e in outcome.transcript.entries], outcome.output])
+    assert digest(runs) == want
+
+
+@pytest.mark.parametrize(
+    "build, n, k, want",
+    [
+        (gip_protocol, 3, 2, "6817456f4ae7c68f"),  # one-row blocks x 13 repetitions
+        (gip_protocol, 16, 4, "309a428a30db80ea"),  # 4 blocks x 39 repetitions
+        (disj_protocol, 16, 16, "7fe278e599b7b70f"),  # one-block subcalls
+        (disj_protocol, 8, 3, "6f5796b994490f66"),  # blocked subcalls
+    ],
+)
+def test_gip_disj_transcripts_are_pinned(build, n, k, want):
+    protocol = build(n, k)
     rng = np.random.default_rng(n * 1000 + k)
     master = RandomTape(master_seed=2026)
     runs = []
