@@ -18,6 +18,7 @@ from .discrepancy import (
     CorrelationQuery,
     bns_rhs,
     bound_suite,
+    check_bns_pairs,
     exact_disc,
     heuristic_disc,
     mod3_char_array,
@@ -133,6 +134,7 @@ def _cmd_disc(args) -> int:
     elif args.mode == "heuristic":
         value = heuristic_disc(q, restarts=4, tape=RandomTape(args.seed))
     else:
+        check_bns_pairs((1 << n,) * k, args.cap)  # before the (2^n)^k array exists
         rhs = bns_rhs(_phi_array(args.fn, n, k), cap=args.cap)
         value = rhs ** (1.0 / (1 << k))
 

@@ -4,8 +4,8 @@ A protocol is a single pass over players 1..k in increasing order. Each player
 contributes one (possibly empty) bit string to a public blackboard; the output
 is then a function of the blackboard and the shared tape alone. Message rules
 see their player's View, the entries already on the blackboard (always empty
-for protocols declared simultaneous), the tape, and a namespace string that
-keeps nested draws independent.
+for protocols declared simultaneous), the tape (or the run's plan, see
+ProtocolSpec), and a namespace string that keeps nested draws independent.
 
 Message lengths must not depend on the input: protocols declare a length_rule
 (player, tape, ns) -> bits so that concatenated repetitions can be split
@@ -16,8 +16,8 @@ smuggle information around the bit count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .matrices import InputMatrix, View, player_view
 from .tape import RandomTape
 
 TranscriptEntry = tuple[int, str]
-MessageRule = Callable[[int, View, tuple[TranscriptEntry, ...], RandomTape, str], str]
-OutputRule = Callable[["Transcript", RandomTape, str], int]
-LengthRule = Callable[[int, RandomTape, str], int]
+MessageRule = Callable[[int, View, tuple[TranscriptEntry, ...], Any, str], str]
+OutputRule = Callable[["Transcript", Any, str], int]  # Any: the tape, or the plan
+LengthRule = Callable[[int, Any, str], int]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,21 @@ class Transcript:
     def player_bits(self, player: int) -> str:
         return "".join(bits for p, bits in self.entries if p == player)
 
+    def pieces(self, widths: Iterable[tuple[int, int]]) -> list[str]:
+        """Cut each player's bits into consecutive pieces of the declared
+        (player, width) sizes, taken in the order given: the one decoder of
+        concatenated messages (plan slots, amplified repetitions)."""
+        cursor: dict[int, int] = {}
+        spans = []
+        for player, width in widths:
+            at = cursor.get(player, 0)
+            cursor[player] = at + width
+            spans.append((player, at, at + width))
+        bits = {player: self.player_bits(player) for player in cursor}
+        if any(len(bits[player]) < end for player, end in cursor.items()):
+            raise ValueError("transcript is shorter than its declared widths")
+        return [bits[player][at:end] for player, at, end in spans]
+
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
@@ -63,6 +78,10 @@ class ProtocolSpec:
     cost_ceiling the declared worst-case bit count over all tape draws.
     deterministic protocols must ignore the tape entirely (that is what
     makes them eligible for cylinder decomposition).
+
+    plan, when set, builds the input-independent part of one run (the shared
+    draws of a public-coin protocol) from (tape, ns). run() builds it once,
+    and the rules receive it where callback protocols receive the tape.
     """
 
     family: str
@@ -75,20 +94,28 @@ class ProtocolSpec:
     output_rule: OutputRule
     length_rule: Optional[LengthRule] = None
     cost_ceiling: Optional[int] = None
+    plan: Optional[Callable[[RandomTape, str], Any]] = None
+
+
+def rule_context(p: ProtocolSpec, tape: RandomTape, ns: str) -> Any:
+    """What p's rules receive for one run under (tape, ns): its plan, built
+    here, or the tape itself when p has no plan."""
+    return tape if p.plan is None else p.plan(tape, ns)
 
 
 def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape, ns: str = "") -> ProtocolOutcome:
     """Execute one protocol instance. Pure in (p, x, tape, ns)."""
     if x.n != p.n or x.k != p.k:
         raise ValueError(f"input is {x.n}x{x.k}, protocol wants {p.n}x{p.k}")
+    ctx = rule_context(p, tape, ns)
     entries: list[TranscriptEntry] = []
     for i in range(1, p.k + 1):
         prefix = () if p.simultaneous else tuple(entries)
-        msg = p.message_rule(i, player_view(x, i), prefix, tape, ns)
+        msg = p.message_rule(i, player_view(x, i), prefix, ctx, ns)
         if set(msg) - {"0", "1"}:
             raise ValueError(f"player {i} produced non-bit message {msg!r}")
         if p.length_rule is not None:
-            want = p.length_rule(i, tape, ns)
+            want = p.length_rule(i, ctx, ns)
             if len(msg) != want:
                 raise ValueError(
                     f"player {i} sent {len(msg)} bits, length rule declares {want}"
@@ -96,7 +123,7 @@ def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape, ns: str = "") -> Prot
         if msg:
             entries.append((i, msg))
     transcript = Transcript(entries=tuple(entries))
-    output = p.output_rule(transcript, tape, ns)
+    output = p.output_rule(transcript, ctx, ns)
     if output not in (0, 1):
         raise ValueError(f"output rule produced {output!r}")
     return ProtocolOutcome(output=output, transcript=transcript, cost_bits=transcript.cost_bits)
@@ -116,7 +143,8 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
 
     t must be odd; t=1 returns p unchanged. Each repetition r draws its
     randomness under the namespace "rep{r}/", so repetitions are independent
-    and any player can re-derive the split points from the tape.
+    and any player can re-derive the split points from the tape. The plan
+    holds each repetition's (context, namespace), built once per run.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError("t must be odd and >= 1")
@@ -126,40 +154,36 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
         raise ValueError("amplify needs a protocol with a declared length rule")
 
     base = p
+    players = range(1, base.k + 1)
 
-    def message_rule(i, view, prefix, tape, ns):
-        return "".join(base.message_rule(i, view, prefix, tape, f"{ns}rep{r}/") for r in range(t))
+    def plan(tape, ns):
+        namespaces = [f"{ns}rep{r}/" for r in range(t)]
+        return [(rule_context(base, tape, rep_ns), rep_ns) for rep_ns in namespaces]
 
-    def length_rule(i, tape, ns):
-        return sum(base.length_rule(i, tape, f"{ns}rep{r}/") for r in range(t))
+    def message_rule(i, view, prefix, reps, ns):
+        return "".join(base.message_rule(i, view, prefix, ctx, rep_ns) for ctx, rep_ns in reps)
 
-    def output_rule(transcript, tape, ns):
-        per_player = {i: transcript.player_bits(i) for i in range(1, base.k + 1)}
-        offsets = dict.fromkeys(per_player, 0)
+    def length_rule(i, reps, ns):
+        return sum(base.length_rule(i, ctx, rep_ns) for ctx, rep_ns in reps)
+
+    def output_rule(transcript, reps, ns):
+        pieces = transcript.pieces(
+            (i, base.length_rule(i, ctx, rep_ns)) for ctx, rep_ns in reps for i in players
+        )
         votes = []
-        for r in range(t):
-            rep_ns = f"{ns}rep{r}/"
-            entries = []
-            for i in range(1, base.k + 1):
-                ln = base.length_rule(i, tape, rep_ns)
-                if ln:
-                    piece = per_player[i][offsets[i] : offsets[i] + ln]
-                    offsets[i] += ln
-                    entries.append((i, piece))
-            votes.append(base.output_rule(Transcript(entries=tuple(entries)), tape, rep_ns))
+        for r, (ctx, rep_ns) in enumerate(reps):
+            said = zip(players, pieces[r * base.k : (r + 1) * base.k])
+            entries = tuple((i, bits) for i, bits in said if bits)
+            votes.append(base.output_rule(Transcript(entries=entries), ctx, rep_ns))
         return plurality(votes, 2)
 
-    return ProtocolSpec(
-        family=base.family,
-        n=base.n,
-        k=base.k,
-        error=base.error,  # callers account for the amplified error themselves
-        simultaneous=base.simultaneous,
-        deterministic=base.deterministic,
+    return replace(
+        base,  # keeps base.error: callers account for the amplified error themselves
         message_rule=message_rule,
         output_rule=output_rule,
         length_rule=length_rule,
         cost_ceiling=None if base.cost_ceiling is None else t * base.cost_ceiling,
+        plan=plan,
     )
 
 
@@ -217,6 +241,7 @@ def decompose_to_cylinders(
         raise ValueError(f"domain 2^{n * k} exceeds cap {cap}")
 
     tape = RandomTape(0)  # deterministic protocols never touch it
+    ctx = rule_context(p, tape, "")
     by_transcript: dict[tuple[TranscriptEntry, ...], list[int]] = {}
     outputs: dict[tuple[TranscriptEntry, ...], int] = {}
     for code in range(domain_size):
@@ -251,7 +276,7 @@ def decompose_to_cylinders(
             # the hidden column is irrelevant so any filler works
             for idx in range(view_size):
                 v = player_view(_matrix_with_view(n, k, i, idx), i)
-                if p.message_rule(i, v, prefix_of[i], tape, "") == said[i]:
+                if p.message_rule(i, v, prefix_of[i], ctx, "") == said[i]:
                     table[idx] = 1
             if not table.all():
                 players.append(i)

@@ -175,17 +175,21 @@ def exact_disc(q: CorrelationQuery, cap: int = DEFAULT_DISC_CAP) -> Union[Fracti
     2^(2^((k-1) n)) possible tables, so the per-subset count is astronomically
     capped. Raises CapExceeded rather than degrade silently.
     """
-    items = _signed_items(q)
     view_space = 1 << ((q.k - 1) * q.n)
-    tables_per_player = 1 << view_space
-    best = None
-    for S in _subset_candidates(q):
-        combos = tables_per_player ** len(S)
-        if combos > cap:
+    subsets = _subset_candidates(q)
+    for S in subsets:
+        # 2^bits tuples: checked from the shape before any item is built, and
+        # worded as a power, whose decimal form can exceed int-to-str limits
+        bits = view_space * len(S)
+        if cap < 1 or bits >= cap.bit_length():
             raise CapExceeded(
-                f"subset {S}: {combos} table tuples exceed cap {cap}; "
+                f"subset {S}: 2^{bits} table tuples exceed cap {cap}; "
                 "use heuristic_disc or bns_rhs"
             )
+    items = _signed_items(q)
+    tables_per_player = 1 << view_space
+    best = None
+    for S in subsets:
         vidx = [_view_index_table(items, i) for i in S]
         for tabs in product(range(tables_per_player), repeat=len(S)):
             total = 0
@@ -301,11 +305,7 @@ def bns_rhs(phi: np.ndarray, cap: int = DEFAULT_DISC_CAP) -> float:
     """
     sizes = phi.shape
     k = phi.ndim
-    pairs = 1
-    for s in sizes:
-        pairs *= s * s
-    if pairs > cap:
-        raise CapExceeded(f"{pairs} (u0,u1) tuples exceed cap {cap}")
+    check_bns_pairs(sizes, cap)
     grand = np.ones([1] * (2 * k), dtype=np.complex128)
     for z in range(1 << k):
         shape = [1] * (2 * k)
@@ -319,6 +319,17 @@ def bns_rhs(phi: np.ndarray, cap: int = DEFAULT_DISC_CAP) -> float:
     if abs(value.imag) > 1e-9:
         raise AssertionError(f"tensor average should be real, got {value}")
     return max(value.real, 0.0)
+
+
+def check_bns_pairs(sizes: Sequence[int], cap: int) -> None:
+    """The cap check of bns_rhs, which averages over prod_i s_i^2 pairs
+    (u^0, u^1); it reads phi's shape alone, so callers run it before they
+    build phi."""
+    pairs = math.prod(s * s for s in sizes)
+    if pairs > cap:
+        power = pairs.bit_length() - 1
+        count = f"2^{power}" if pairs == 1 << power else str(pairs)
+        raise CapExceeded(f"{count} (u0,u1) tuples exceed cap {cap}")
 
 
 def mod3_char_array(n: int, k: int) -> np.ndarray:

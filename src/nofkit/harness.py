@@ -167,6 +167,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
         "cost_max": 0,
         "exact_sum": Fraction(0),
         "exact_max": Fraction(0),
+        "oracle_applies": oracle is not None,
         "oracle_ok": True,
     }
 
@@ -229,6 +230,7 @@ def _merge(parts: list[dict]) -> dict:
         out["cost_max"] = max(out["cost_max"], p["cost_max"])
         out["exact_sum"] += p["exact_sum"]
         out["exact_max"] = max(out["exact_max"], p["exact_max"])
+        out["oracle_applies"] = out["oracle_applies"] and p["oracle_applies"]
         out["oracle_ok"] = out["oracle_ok"] and p["oracle_ok"]
     return out
 
@@ -280,7 +282,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
             ]
             acc = _merge([f.result() for f in futs])
 
-    applies = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps) is not None
+    applies = acc["oracle_applies"]
     protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
     if protocol.cost_ceiling is not None and acc["cost_max"] > protocol.cost_ceiling:
         raise CostCeilingExceeded(

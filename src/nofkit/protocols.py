@@ -2,11 +2,12 @@
 
 All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
-alone, never from the input. Internally a run is described by a *plan*: an
+alone, never from the input. Each spec's ``plan`` describes one run: an
 ordered list of slots (player, bit-width, view -> bits) plus an aggregator
-from slot values to the output. Message, length, and output rules all read
-the same cached plan, which is what keeps the transcript splittable and the
-declared cost ceilings honest.
+from slot values to the output. ``core.run`` builds it once per run and
+hands it to the message, length, and output rules, which read nothing
+else; that keeps the transcript splittable and the declared cost ceilings
+honest.
 
 gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 the players sitting at the zero positions each broadcast one
@@ -32,7 +33,7 @@ mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import ceil, log
 from typing import Callable, Optional, Sequence, Union
@@ -133,56 +134,29 @@ class _Plan:
             self.by_player.setdefault(slot[0], []).append(slot)
 
 
-def _plan_protocol(
-    family: str,
-    n: int,
-    k: int,
-    error: float,
-    builder: Callable[[RandomTape, str], _Plan],
-    cost_ceiling: Optional[int],
-) -> ProtocolSpec:
-    cache: dict[tuple[int, str], _Plan] = {}
+def _plan_message(i: int, view: View, prefix, plan: _Plan, ns: str) -> str:
+    return "".join(fn(view) for _, _, fn in plan.by_player.get(i, ()))
 
-    def plan_for(tape: RandomTape, ns: str) -> _Plan:
-        key = (tape.master_seed, ns)
-        if key not in cache:
-            if len(cache) >= 256:
-                cache.clear()
-            cache[key] = builder(tape, ns)
-        return cache[key]
 
-    def message_rule(i, view, prefix, tape, ns):
-        return "".join(fn(view) for _, _, fn in plan_for(tape, ns).by_player.get(i, ()))
+def _plan_length(i: int, plan: _Plan, ns: str) -> int:
+    return sum(width for _, width, _ in plan.by_player.get(i, ()))
 
-    def length_rule(i, tape, ns):
-        return sum(width for _, width, _ in plan_for(tape, ns).by_player.get(i, ()))
 
-    def output_rule(transcript: Transcript, tape, ns):
-        plan = plan_for(tape, ns)
-        cursor = {i: 0 for i in range(1, k + 1)}
-        per_player = {i: transcript.player_bits(i) for i in cursor}
-        values = []
-        for player, width, _ in plan.slots:
-            at = cursor[player]
-            piece = per_player[player][at : at + width]
-            if len(piece) != width:
-                raise ValueError("transcript shorter than the plan requires")
-            cursor[player] = at + width
-            values.append(int(piece, 2))
-        return plan.output(values)
+def _plan_output(transcript: Transcript, plan: _Plan, ns: str) -> int:
+    pieces = transcript.pieces((player, width) for player, width, _ in plan.slots)
+    return plan.output([int(piece, 2) for piece in pieces])
 
-    return ProtocolSpec(
-        family=family,
-        n=n,
-        k=k,
-        error=float(error),
-        simultaneous=True,
-        deterministic=False,
-        message_rule=message_rule,
-        output_rule=output_rule,
-        length_rule=length_rule,
-        cost_ceiling=cost_ceiling,
-    )
+
+# the fixed part of the three specs: simultaneous, public-coin, and every
+# rule reads only the run's plan
+_plan_protocol = partial(
+    ProtocolSpec,
+    simultaneous=True,
+    deterministic=False,
+    message_rule=_plan_message,
+    output_rule=_plan_output,
+    length_rule=_plan_length,
+)
 
 
 def _partition_rows(row_ids: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -311,11 +285,11 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     eps = Fraction(eps)
     params = gip_params(n, k, eps)
 
-    def builder(tape: RandomTape, ns: str) -> _Plan:
+    def plan(tape: RandomTape, ns: str) -> _Plan:
         slots, value = _gip_rows_plan(tuple(range(n)), k, eps, tape, ns)
         return _Plan(slots=slots, output=value)
 
-    return _plan_protocol("gip", n, k, float(eps), builder, params["cost_ceiling"])
+    return _plan_protocol("gip", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])
 
 
 def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
@@ -388,7 +362,7 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     params = disj_params(n, k, eps)
     trials = params["trials"]
 
-    def builder(tape: RandomTape, ns: str) -> _Plan:
+    def plan(tape: RandomTape, ns: str) -> _Plan:
         slots: list[Slot] = []
         finishers: list[tuple[tuple[int, int], Optional[Callable]]] = []
         for t in range(trials):
@@ -413,7 +387,7 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
 
         return _Plan(slots=slots, output=output)
 
-    return _plan_protocol("disj", n, k, float(eps), builder, params["cost_ceiling"])
+    return _plan_protocol("disj", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +591,7 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     blocks, reps = _blocks_and_reps(range(n), k, eps)
     k_effs = params["k_effs"]
 
-    def builder(tape: RandomTape, ns: str) -> _Plan:
+    def plan(tape: RandomTape, ns: str) -> _Plan:
         def rep_slots(b: int, block: tuple[int, ...], r: int) -> list[Slot]:
             k_eff = k_effs[b]
             point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
@@ -627,4 +601,4 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
         slots, value = _voted_blocks(blocks, reps, 3, rep_slots)
         return _Plan(slots=slots, output=lambda vals: int(value(vals) == 0))
 
-    return _plan_protocol("mod3", n, k, float(eps), builder, params["cost_ceiling"])
+    return _plan_protocol("mod3", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nofkit import harness
+from nofkit import cli, discrepancy, harness
 from nofkit.cli import main
 from nofkit.harness import CSV_HEADER
 from nofkit.protocols import gip_protocol
@@ -245,3 +245,17 @@ def test_source_flags_conflict_is_an_argparse_error():
         main(["simulate", "--protocol", "gip", "--n", "1", "--k", "2",
               "--dist", "sigma", "--exhaustive"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "bns"])
+def test_disc_refusal_is_one_error_line_naming_the_cap(mode, monkeypatch, capsys):
+    # n=3, k=6: 2^18 inputs and a (2^3)^6 payoff array, neither may be built
+    def unbuilt(*args):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(discrepancy, "_signed_items", unbuilt)
+    monkeypatch.setattr(cli, "_phi_array", unbuilt)
+    code = main(["disc", "--fn", "gip", "--n", "3", "--k", "6", "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "exceed cap 1048576" in err[0]

@@ -153,6 +153,13 @@ def test_transcript_player_bits_concatenates_in_order():
     assert t.cost_bits == 5
 
 
+def test_transcript_pieces_cut_each_player_in_declared_order():
+    t = Transcript(entries=((1, "10"), (2, "011"), (1, "11")))
+    assert t.pieces([(2, 1), (1, 3), (2, 0), (2, 2), (1, 1)]) == ["0", "101", "", "11", "1"]
+    with pytest.raises(ValueError, match="shorter"):
+        t.pieces([(2, 2), (2, 2)])
+
+
 def test_amplify_requires_odd_t_and_length_rule():
     with pytest.raises(ValueError):
         amplify(and_protocol(), 2)

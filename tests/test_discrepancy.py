@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from nofkit import discrepancy
 from nofkit.core import all_ones_cylinder
 from nofkit.discrepancy import (
     CapExceeded,
     CharacterSpec,
     CorrelationQuery,
     bns_rhs,
+    check_bns_pairs,
     bound_suite,
     correlation,
     enumerate_cylinders,
@@ -65,6 +67,15 @@ def test_exact_disc_budget_family_dominance():
 def test_exact_disc_cap():
     with pytest.raises(CapExceeded):
         exact_disc(CorrelationQuery(target=gip_spec(2, 2)), cap=100)
+
+
+def test_exact_disc_refuses_from_the_shape_before_building_items(monkeypatch):
+    def no_items(q):
+        raise AssertionError("signed items built before the cap check")
+
+    monkeypatch.setattr(discrepancy, "_signed_items", no_items)
+    with pytest.raises(CapExceeded, match=r"2\^196608 table tuples exceed cap 1048576"):
+        exact_disc(CorrelationQuery(target=gip_spec(3, 6)))
 
 
 def test_partial_target_needs_vanishing_weight():
@@ -185,6 +196,14 @@ def test_bns_rhs_bounds_every_cylinder_correlation():
 def test_bns_rhs_cap():
     with pytest.raises(CapExceeded):
         bns_rhs(mod3_char_array(2, 2), cap=10)
+
+
+def test_bns_pair_check_needs_only_the_shape():
+    check_bns_pairs((4, 4), cap=256)
+    with pytest.raises(CapExceeded, match=r"2\^36 \(u0,u1\) tuples exceed cap 1048576"):
+        check_bns_pairs((8,) * 6, cap=1 << 20)
+    with pytest.raises(CapExceeded, match="^9 "):
+        check_bns_pairs((3,), cap=8)
 
 
 def test_char_budget_bound_is_strict_at_2_2():
