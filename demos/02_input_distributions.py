@@ -17,7 +17,7 @@ space = 1 << (n * k)
 print(f"shape n={n}, k={k}: {space} matrices\n")
 
 families = [
-    ("uniform over the full space", make_dist("upsilon", n, k, ell=k)),
+    ("uniform over the full space", make_dist("uniform", n, k)),
     ("upsilon ell=1 (rows carry at most one zero each)",
      make_dist("upsilon", n, k, ell=1)),
     ("mu (exactly one row all-ones on its first k-1 entries)",

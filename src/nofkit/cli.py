@@ -132,8 +132,10 @@ def _cmd_disc(args) -> int:
     if args.mode == "exact":
         value = exact_disc(q, cap=args.cap)
     elif args.mode == "heuristic":
-        value = heuristic_disc(q, restarts=4, tape=RandomTape(args.seed))
+        value = heuristic_disc(q, restarts=4, tape=RandomTape(args.seed), cap=args.cap)
     else:
+        if q.weight.name != "uniform":
+            raise ValueError(f"--mode bns averages over uniform inputs; got --dist {args.dist}")
         check_bns_pairs((1 << n,) * k, args.cap)  # before the (2^n)^k array exists
         rhs = bns_rhs(_phi_array(args.fn, n, k), cap=args.cap)
         value = rhs ** (1.0 / (1 << k))

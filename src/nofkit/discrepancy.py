@@ -7,7 +7,8 @@ a budget ell (all subsets of size <= ell), or every player. Everything here
 is brute force: the point is exact desk-scale values to hold the analytic
 bounds against, not scalability. exact_disc enumerates all table tuples, so
 it is doubly exponential and guarded by a cap; heuristic_disc is a local
-search usable past the cap; bns_rhs evaluates the tensor-product quantity
+search usable far past that cap, under a cap of its own on the 2^(nk)
+inputs it sweeps; bns_rhs evaluates the tensor-product quantity
 that upper-bounds |E phi chi|^(2^k) for every cylinder intersection chi.
 """
 
@@ -65,7 +66,7 @@ class CorrelationQuery:
     """What to correlate: a +-1 target (or complex character), a weight over
     inputs, and the cylinder family to maximize over.
 
-    weight None means uniform over the full matrix space; a mapping is keyed
+    weight None means make_dist("uniform", n, k); a mapping is keyed
     by matrix code and may be any nonnegative values (used for mixtures and
     perturbations). family is a player tuple (that fixed S), an int budget
     ell, or None for all k players. For a partial target, the weight must
@@ -122,22 +123,18 @@ def _signed_items(q: CorrelationQuery) -> list[tuple[InputMatrix, object]]:
             raise ValueError(f"weight on code {x.code()} lies outside the target domain")
         return w if v == 0 else -w
 
+    weight = make_dist("uniform", n, k) if q.weight is None else q.weight
     items = []
-    if hasattr(q.weight, "pmf"):
-        if (q.weight.n, q.weight.k) != (n, k):
+    if hasattr(weight, "pmf"):
+        if (weight.n, weight.k) != (n, k):
             raise ValueError("weight shape does not match the target")
         for code in range(1 << (n * k)):
             x = InputMatrix.from_code(n, k, code)
-            w = q.weight.pmf(x)
+            w = weight.pmf(x)
             if w:
                 items.append((x, signed(x, w)))
-    elif q.weight is None:
-        w = Fraction(1, 1 << (n * k))
-        for code in range(1 << (n * k)):
-            x = InputMatrix.from_code(n, k, code)
-            items.append((x, signed(x, w)))
     else:
-        for code, w in sorted(q.weight.items()):
+        for code, w in sorted(weight.items()):
             if w:
                 x = InputMatrix.from_code(n, k, code)
                 items.append((x, signed(x, w)))
@@ -216,7 +213,10 @@ def enumerate_cylinders(n: int, k: int, players: Sequence[int]) -> Iterator[Cyli
 
 
 def heuristic_disc(
-    q: CorrelationQuery, restarts: int = 4, tape: Optional[RandomTape] = None
+    q: CorrelationQuery,
+    restarts: int = 4,
+    tape: Optional[RandomTape] = None,
+    cap: int = DEFAULT_DISC_CAP,
 ) -> Union[Fraction, float]:
     """Lower bound on exact_disc by alternating maximization.
 
@@ -226,7 +226,15 @@ def heuristic_disc(
     complex character; ties enlarge the cylinder). Sweeps players until no
     table changes. restarts=0 evaluates the all-ones cylinder only; the
     first restart starts from all-ones, later ones from random tables.
+    Raises CapExceeded when the 2^(nk) items times the swept players
+    exceed cap.
     """
+    subsets = _subset_candidates(q)
+    # checked from the shape before any item is built, as in exact_disc;
+    # an empty family still reads every item once
+    cells, players = q.n * q.k, max(1, sum(len(S) for S in subsets))
+    if cap < 1 or cells >= cap.bit_length() or players << cells > cap:
+        raise CapExceeded(f"2^{cells} inputs x {players} swept players exceed cap {cap}")
     items = _signed_items(q)
     allones = _magnitude(sum(c for _, c in items))
     if restarts <= 0:
@@ -236,7 +244,7 @@ def heuristic_disc(
     is_char = isinstance(q.target, CharacterSpec)
     view_space = 1 << ((q.k - 1) * q.n)
     best = allones
-    for S in _subset_candidates(q):
+    for S in subsets:
         vidx = [_view_index_table(items, i) for i in S]
         for r in range(restarts):
             if r == 0:
@@ -389,7 +397,7 @@ def _disc_value(q: CorrelationQuery, cap: int, tape: RandomTape):
     try:
         return float(exact_disc(q, cap)), "exact"
     except CapExceeded:
-        return float(heuristic_disc(q, restarts=4, tape=tape)), "heuristic"
+        return float(heuristic_disc(q, restarts=4, tape=tape, cap=cap)), "heuristic"
 
 
 def bound_suite(n: int, k: int, ell: int, m: int = 1, cap: int = DEFAULT_DISC_CAP) -> list[dict]:
@@ -430,7 +438,7 @@ def bound_suite(n: int, k: int, ell: int, m: int = 1, cap: int = DEFAULT_DISC_CA
         "gip-uniform",
         None,
         gip_spec(n, k),
-        make_dist("upsilon", n, k, ell=k),
+        make_dist("uniform", n, k),
         (1 - Fraction(1, 4 ** (k - 1))) ** n,
     )
     add(

@@ -2,8 +2,7 @@
 
 Names (CLI spelling in parentheses):
 
-- uniform          all n x k matrices equally likely (drawn as upsilon at
-                   ell = k: the same law and the same stream)
+- uniform          all n x k matrices equally likely
 - upsilon          rows iid uniform over rows with at most ``ell`` zeros
 - mu               uniform over matrices where exactly one row has its first
                    k-1 entries all ones
@@ -15,8 +14,13 @@ Names (CLI spelling in parentheses):
 - nu               every input where MOD3_XOR is 1 carries twice the weight
                    of an input where it is 0
 
-pmf() is exact rational for n*k <= 24 and double precision above; samplers
-draw through a numpy Generator so the harness can key them off the tape.
+All but mu and nu are one banded law, read from the ``_BANDED`` table: free
+rows iid uniform over a zero-count band lo..hi (hi is ell, or k for the
+names that take no ell), and with probability ``plant`` (0, 1 or 1/2) one
+row at a uniform position replaced by the all-ones row. pmf() is one formula
+over that table and sample() one loop. pmf() is an exact Fraction at every
+shape; samplers draw through a numpy Generator so the harness can key them
+off the tape.
 """
 
 from __future__ import annotations
@@ -24,17 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .combinatorics import band_size, binom_leq, unrank_band_row, unrank_combination
+from .combinatorics import band_size, unrank_band_row, unrank_combination
 from .functions import eval_mod3xor
 from .matrices import InputMatrix
-
-EXACT_PMF_CELLS = 24
-
-Prob = Union[Fraction, float]
 
 _NAMES = (
     "uniform",
@@ -48,6 +48,22 @@ _NAMES = (
     "sigma_ell",
     "nu",
 )
+
+# The banded families: name -> (fewest zeros a free row may have, probability
+# of one planted all-ones row, free rows drawn as one int below 2^k - 1
+# rather than by band rank). The most zeros is ell, or k for names without ell.
+# Every family that may plant a row has lo = 1, so a planted row lies outside
+# the band, which is how pmf() tells it apart.
+_BANDED = {
+    "uniform": (0, 0, False),
+    "upsilon": (0, 0, False),
+    "sigma0": (1, 0, True),
+    "sigma1": (1, 1, True),
+    "sigma": (1, Fraction(1, 2), True),
+    "sigma0_ell": (1, 0, False),
+    "sigma1_ell": (1, 1, False),
+    "sigma_ell": (1, Fraction(1, 2), False),
+}
 
 
 def nu_counts(n: int, k: int) -> tuple[int, int]:
@@ -106,7 +122,7 @@ class DistributionSpec:
         if needs_ell:
             if self.ell is None:
                 raise ValueError(f"{self.name} needs ell")
-            lo = 0 if self.name == "upsilon" else 1
+            lo = _BANDED[self.name][0]
             if not lo <= self.ell <= self.k:
                 raise ValueError(f"need {lo} <= ell <= k")
         elif self.ell is not None:
@@ -117,86 +133,39 @@ class DistributionSpec:
 
     # -- exact pmf ---------------------------------------------------------
 
-    def pmf(self, x: InputMatrix) -> Prob:
+    def pmf(self, x: InputMatrix) -> Fraction:
         if (x.n, x.k) != (self.n, self.k):
             raise ValueError("matrix shape does not match distribution")
-        value = self._pmf_fraction(x)
-        if self.n * self.k <= EXACT_PMF_CELLS:
-            return value
-        return float(value)
-
-    def _pmf_fraction(self, x: InputMatrix) -> Fraction:
         n, k = self.n, self.k
         full = (1 << k) - 1
-        name = self.name
 
-        if name == "uniform":
-            return Fraction(1, 1 << (n * k))
-
-        if name == "upsilon":
-            cnt = binom_leq(k, self.ell)
-            ok = all(k - bin(r).count("1") <= self.ell for r in x.rows)
-            return Fraction(1, cnt**n) if ok else Fraction(0)
-
-        if name == "mu":
+        if self.name == "mu":
             prefix = (1 << (k - 1)) - 1
             special = sum(1 for r in x.rows if (r & prefix) == prefix)
-            if special != 1:
-                return Fraction(0)
-            denom = n * 2 * (full - 1) ** (n - 1)
-            return Fraction(1, denom) if denom else Fraction(0)
+            return Fraction(1, 2 * n * (full - 1) ** (n - 1)) if special == 1 else Fraction(0)
 
-        if name in ("sigma0", "sigma1", "sigma"):
-            ones = sum(1 for r in x.rows if r == full)
-            p0 = Fraction(1, full**n) if ones == 0 else Fraction(0)
-            p1 = Fraction(1, n * full ** (n - 1)) if ones == 1 else Fraction(0)
-            if name == "sigma0":
-                return p0
-            if name == "sigma1":
-                return p1
-            return (p0 + p1) / 2
-
-        if name in ("sigma0_ell", "sigma1_ell", "sigma_ell"):
-            cnt = binom_leq(k, self.ell) - 1  # rows with 1..ell zeros
-            in_band = [1 <= k - bin(r).count("1") <= self.ell for r in x.rows]
-            ones = sum(1 for r in x.rows if r == full)
-            p0 = Fraction(1, cnt**n) if all(in_band) else Fraction(0)
-            p1 = Fraction(0)
-            if ones == 1:
-                rest_ok = all(b for r, b in zip(x.rows, in_band) if r != full)
-                if rest_ok:
-                    p1 = Fraction(1, n * cnt ** (n - 1))
-            if name == "sigma0_ell":
-                return p0
-            if name == "sigma1_ell":
-                return p1
-            return (p0 + p1) / 2
-
-        if name == "nu":
+        if self.name == "nu":
             c1, c0 = nu_counts(n, k)
             w = Fraction(1, 2 * c1 + c0)
             return 2 * w if eval_mod3xor(x) == 1 else w
 
-        raise AssertionError("unreachable")
+        lo, plant, _ = _BANDED[self.name]
+        hi = k if self.ell is None else self.ell
+        size = band_size(k, lo, hi)
+        outside = [r for r in x.rows if not lo <= k - r.bit_count() <= hi]
+        if not outside:  # every row drawn from the band
+            return Fraction(1 - plant, size**n)
+        if outside == [full]:  # the planted row and n - 1 band rows
+            return Fraction(plant, n * size ** (n - 1))
+        return Fraction(0)
 
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> InputMatrix:
         n, k = self.n, self.k
         full = (1 << k) - 1
-        name = self.name
 
-        if name == "sigma":
-            pick = "sigma1" if _randbelow(rng, 2) else "sigma0"
-            return DistributionSpec(pick, n, k).sample(rng)
-        if name == "sigma_ell":
-            pick = "sigma1_ell" if _randbelow(rng, 2) else "sigma0_ell"
-            return DistributionSpec(pick, n, k, self.ell).sample(rng)
-
-        if name in ("uniform", "upsilon"):
-            ell = k if name == "uniform" else self.ell
-            rows = [_row_with_zero_count_range(rng, k, 0, ell) for _ in range(n)]
-        elif name == "mu":
+        if self.name == "mu":
             if k == 1:
                 # vacuous prefix: only n=1 has support, the row is free
                 rows = [_randbelow(rng, 2)]
@@ -208,23 +177,20 @@ class DistributionSpec:
                     last = _randbelow(rng, 2) << (k - 1)
                     head = prefix if i == special else _randbelow(rng, prefix)
                     rows.append(head | last)
-        elif name == "sigma0":
-            rows = [_randbelow(rng, full) for _ in range(n)]
-        elif name == "sigma1":
-            special = _randbelow(rng, n)
-            rows = [full if i == special else _randbelow(rng, full) for i in range(n)]
-        elif name == "sigma0_ell":
-            rows = [_row_with_zero_count_range(rng, k, 1, self.ell) for _ in range(n)]
-        elif name == "sigma1_ell":
-            special = _randbelow(rng, n)
-            rows = [
-                full if i == special else _row_with_zero_count_range(rng, k, 1, self.ell)
-                for i in range(n)
-            ]
-        elif name == "nu":
+        elif self.name == "nu":
             rows = self._sample_nu_rows(rng)
         else:
-            raise AssertionError("unreachable")
+            lo, plant, plain = _BANDED[self.name]
+            hi = k if self.ell is None else self.ell
+            # the mixture's coin comes before the planted position
+            planted = plant == 1 or (plant > 0 and _randbelow(rng, 2) == 1)
+            special = _randbelow(rng, n) if planted else -1
+            rows = [
+                full if i == special
+                else _randbelow(rng, full) if plain
+                else _row_with_zero_count_range(rng, k, lo, hi)
+                for i in range(n)
+            ]
         return InputMatrix(k=k, rows=tuple(rows))
 
     def _sample_nu_rows(self, rng) -> list[int]:

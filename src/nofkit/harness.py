@@ -349,10 +349,11 @@ def sweep(
     """One CSV line per (n, k); infeasible combinations keep n, k, seed and
     leave every measured column empty."""
     lines = [CSV_HEADER]
+    eps_value = parse_eps(eps)  # a bad eps is an error, not an infeasible cell
     for n in n_list:
         for k in k_list:
             try:
-                structural_ell(protocol, n, k, parse_eps(eps))
+                structural_ell(protocol, n, k, eps_value)
             except (InfeasibleParameters, ValueError):
                 lines.append(f"{n},{k},,,,,,,{seed}")
                 continue

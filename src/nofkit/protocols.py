@@ -488,12 +488,6 @@ def point_label(ns: str, block: int, rep: int) -> str:
     return f"{ns}mod3/b{block}/r{rep}/point"
 
 
-def _fold_width(rows: int, k: int) -> int:
-    """Effective column count for a block: ceil(log2(3 * rows)), capped by
-    feasibility (callers guarantee 3 * rows <= 2^k)."""
-    return ceil_log2(3 * rows)
-
-
 def _effective_row(masked: int, k_eff: int) -> int:
     """Fold columns k_eff..k of a masked row into the single bit k_eff."""
     low = (1 << (k_eff - 1)) - 1
@@ -515,7 +509,7 @@ def mod3_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
     if (1 << k) < n:
         raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
     blocks, reps = _blocks_and_reps(range(n), k, eps)
-    k_effs = [_fold_width(len(b), k) for b in blocks]
+    k_effs = [ceil_log2(3 * len(b)) for b in blocks]  # effective column counts
     if any(ke > k for ke in k_effs):
         raise InfeasibleParameters("block does not fit its effective width")
     return {

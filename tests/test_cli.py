@@ -78,6 +78,18 @@ def test_sweep_csv_and_json(tmp_path, capsys):
     assert payload["rows"][0]["n"] == "4" and payload["rows"][0]["k"] == "3"
 
 
+@pytest.mark.parametrize("eps", ["2", "abc"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_bad_eps_is_one_error_line(eps, fmt, capsys):
+    code = main(["sweep", "--protocol", "gip", "--n-list", "4,8", "--k-list", "4",
+                 "--eps", eps, "--format", fmt])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and eps in err[0]
+    assert captured.out == ""
+
+
 def test_disc_exact_gip(tmp_path):
     code, payload = run_json(
         ["disc", "--fn", "gip", "--n", "2", "--k", "2", "--mode", "exact"],
@@ -97,6 +109,18 @@ def test_disc_bns_matches_closed_form(tmp_path):
     assert code == 0
     # rhs (1 - 3/2^(k+1))^n = 1/4, reported as the 2^k-th root
     assert payload["value"] == pytest.approx(0.25 ** 0.5)
+
+
+@pytest.mark.parametrize("dist", ["sigma", "upsilon:ell=1", "mu"])
+def test_disc_bns_refuses_non_uniform_dist(dist, monkeypatch, capsys):
+    def unbuilt(*args):
+        raise AssertionError("payoff array built before the refusal")
+
+    monkeypatch.setattr(cli, "_phi_array", unbuilt)
+    code = main(["disc", "--fn", "gip", "--n", "1", "--k", "2", "--mode", "bns", "--dist", dist])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "uniform" in err[0]
 
 
 def test_disc_heuristic_stays_below_exact(tmp_path):
@@ -247,7 +271,7 @@ def test_source_flags_conflict_is_an_argparse_error():
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("mode", ["exact", "bns"])
+@pytest.mark.parametrize("mode", ["exact", "bns", "heuristic"])
 def test_disc_refusal_is_one_error_line_naming_the_cap(mode, monkeypatch, capsys):
     # n=3, k=6: 2^18 inputs and a (2^3)^6 payoff array, neither may be built
     def unbuilt(*args):

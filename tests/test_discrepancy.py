@@ -78,6 +78,25 @@ def test_exact_disc_refuses_from_the_shape_before_building_items(monkeypatch):
         exact_disc(CorrelationQuery(target=gip_spec(3, 6)))
 
 
+def test_heuristic_disc_refuses_from_the_shape_before_building_items(monkeypatch):
+    def no_items(q):
+        raise AssertionError("signed items built before the cap check")
+
+    monkeypatch.setattr(discrepancy, "_signed_items", no_items)
+    # 2^18 inputs, each visited once per swept player
+    with pytest.raises(CapExceeded, match=r"2\^18 inputs x 6 swept players exceed cap 1048576"):
+        heuristic_disc(CorrelationQuery(target=gip_spec(3, 6)))
+    with pytest.raises(CapExceeded, match=r"2\^4 inputs x 2 swept players exceed cap 31"):
+        heuristic_disc(CorrelationQuery(target=gip_spec(2, 2)), cap=31)
+    with pytest.raises(CapExceeded, match=r"x 1 swept players"):  # family 0 still reads every item
+        heuristic_disc(CorrelationQuery(target=gip_spec(2, 2), family=0), cap=15)
+
+
+def test_heuristic_disc_runs_at_the_cap():
+    q = CorrelationQuery(target=gip_spec(2, 2))
+    assert heuristic_disc(q, tape=RandomTape(9), cap=32) == heuristic_disc(q, tape=RandomTape(9))
+
+
 def test_partial_target_needs_vanishing_weight():
     q = CorrelationQuery(target=udisj_spec(2, 2))  # uniform charges the gap
     with pytest.raises(ValueError, match="outside the target domain"):

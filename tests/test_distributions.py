@@ -161,6 +161,28 @@ def test_pmf_sums_to_exactly_one_property(case):
     assert sum(probs) == Fraction(1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(named_shapes(), st.integers(0, 2**32 - 1))
+def test_every_sampled_matrix_has_positive_pmf_property(case, seed):
+    name, n, k, ell = case
+    if name == "mu" and k == 1 and n > 1:
+        return  # refused at construction (see the normalisation property)
+    d = make_dist(name, n, k, ell=ell)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        x = d.sample(rng)
+        assert d.pmf(x) > 0, (name, n, k, ell, x.rows)
+
+
+def test_pmf_is_exact_above_24_cells():
+    d = make_dist("upsilon", 5, 5, ell=2)
+    x = InputMatrix.from_bits([[1, 1, 1, 0, 0]] * 5)
+    assert d.pmf(x) == Fraction(1, 16**5)
+    assert isinstance(d.pmf(x), Fraction)
+    big = make_dist("sigma", 8, 8)
+    assert isinstance(big.pmf(big.sample(np.random.default_rng(1))), Fraction)
+
+
 def test_mu_k1_edge():
     d = make_dist("mu", 1, 1)
     rng = RandomTape(4).stream("mu")

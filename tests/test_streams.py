@@ -33,6 +33,18 @@ def digest(value) -> str:
         ("sigma0_ell", 5, 12, 3, "b02f9ec05d873161"),
         ("sigma1_ell", 5, 12, 3, "80316a4d786aee4f"),
         ("nu", 7, 12, None, "12f7f447729a8266"),
+        ("uniform", 5, 12, None, "6ad13e5b8ab450c0"),  # = upsilon at ell = k
+        ("uniform", 3, 70, None, "5171a4572fad6bcd"),
+        ("mu", 5, 12, None, "6498b21f43546c86"),
+        ("mu", 1, 1, None, "a0e04662a257c9d1"),  # empty prefix: the row is free
+        ("sigma0", 5, 12, None, "0d740ed843f43c79"),
+        ("sigma1", 5, 12, None, "63a9c7843fdc0597"),
+        ("sigma", 5, 12, None, "f2bcd1744e0fb21b"),
+        ("sigma", 4, 70, None, "f6f81efd1410f202"),  # plain ints above 2^63
+        ("sigma_ell", 5, 12, 3, "41c8ed65e7ca258c"),
+        ("sigma_ell", 5, 12, 12, "787df1d09f1e7767"),  # band draws, unlike sigma
+        ("sigma0_ell", 5, 12, 12, "eda1452961e98d76"),
+        ("sigma1_ell", 5, 12, 12, "9d088e3a42582245"),
     ],
 )
 def test_sampled_rows_are_pinned(name, n, k, ell, want):
