@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Subcommands: simulate, sweep, disc, exact-error, verify. Global flags
---seed / --out / --format. Exit code 0 iff nothing failed.
+Subcommands: simulate, sweep, disc, exact-error, verify. Every subcommand
+takes --out; --seed and --format only where the subcommand reads them.
+Exit code 0 iff nothing failed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     exact_error_oracle,
-    parse_eps,
     report_to_csv_row,
     report_to_json,
     simulate,
@@ -129,6 +129,9 @@ def _cmd_disc(args) -> int:
         target = disj_spec(n, k)
     family = args.ell
     q = CorrelationQuery(target=target, weight=parse_dist_string(args.dist, n, k), family=family)
+    suite_ell = family if family is not None else k
+    if not 1 <= suite_ell <= k:  # bound_suite's rule, checked before any enumeration
+        raise ValueError("need 1 <= ell <= k")
     if args.mode == "exact":
         value = exact_disc(q, cap=args.cap)
     elif args.mode == "heuristic":
@@ -140,7 +143,6 @@ def _cmd_disc(args) -> int:
         rhs = bns_rhs(_phi_array(args.fn, n, k), cap=args.cap)
         value = rhs ** (1.0 / (1 << k))
 
-    suite_ell = family if family is not None else k
     checks = []
     prefix = {"gip": "gip-", "disj": "disj-", "mod3char": "mod3-"}[args.fn]
     for row in bound_suite(n, k, suite_ell, m=1, cap=args.cap):
@@ -210,10 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nofkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
+    def common(p, seed=True, formats=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("simulate", help="run seeded protocol trials")
     common(p)
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep, format="csv")
 
     p = sub.add_parser("disc", help="discrepancy / correlation values and bound checks")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--fn", required=True, choices=["gip", "disj", "mod3char"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_disc)
 
     p = sub.add_parser("exact-error", help="per-input error oracle for a matrix file")
-    common(p)
+    common(p, seed=False, formats=False)
     p.add_argument("--protocol", required=True, choices=["gip", "mod3"])
     p.add_argument("--matrix", required=True)
     p.add_argument("--ell", type=int, default=None,

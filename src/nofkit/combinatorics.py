@@ -50,18 +50,6 @@ def binom_sandwich_ok(n: int, k: int) -> bool:
     return lower <= c <= upper
 
 
-def binomial_pmf(n: int, p: Fraction) -> list[Fraction]:
-    """Exact pmf of Bin(n, p) as a list indexed by outcome."""
-    q = 1 - p
-    return [Fraction(comb(n, s)) * p**s * q ** (n - s) for s in range(n + 1)]
-
-
-@lru_cache(maxsize=4096)
-def _majority_tail_cached(t: int, p: Fraction) -> Fraction:
-    need = (t + 1) // 2
-    return sum(Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(need, t + 1))
-
-
 def majority_tail(t: int, p: Rational) -> Fraction:
     """P[Bin(t, p) >= ceil(t/2)], the chance a majority vote goes bad.
 
@@ -70,7 +58,9 @@ def majority_tail(t: int, p: Rational) -> Fraction:
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    return _majority_tail_cached(t, Fraction(p))
+    p = Fraction(p)
+    need = (t + 1) // 2
+    return sum(Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(need, t + 1))
 
 
 @lru_cache(maxsize=4096)

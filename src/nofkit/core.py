@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional
 
-import numpy as np
-
 from .matrices import InputMatrix, View, player_view
 from .tape import RandomTape
 
@@ -74,8 +72,7 @@ class ProtocolOutcome:
 class ProtocolSpec:
     """A k-party protocol for n x k inputs.
 
-    error is the designed worst-case failure probability over the tape;
-    cost_ceiling the declared worst-case bit count over all tape draws.
+    cost_ceiling is the declared worst-case bit count over all tape draws.
     deterministic protocols must ignore the tape entirely (that is what
     makes them eligible for cylinder decomposition).
 
@@ -84,10 +81,8 @@ class ProtocolSpec:
     and the rules receive it where callback protocols receive the tape.
     """
 
-    family: str
     n: int
     k: int
-    error: float
     simultaneous: bool
     deterministic: bool
     message_rule: MessageRule
@@ -178,7 +173,7 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
         return plurality(votes, 2)
 
     return replace(
-        base,  # keeps base.error: callers account for the amplified error themselves
+        base,
         message_rule=message_rule,
         output_rule=output_rule,
         length_rule=length_rule,
@@ -195,18 +190,19 @@ def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
 class CylinderIntersection:
     """Product of per-player indicators: chi(x) = prod_{i in S} table_i[view_i(x)].
 
-    table_i is indexed by View.encode() of player i, i.e. the joint assignment
-    of all columns except i. An empty S is the constant-1 cylinder.
+    table_i is a bitmask over View.encode() of player i, i.e. the joint
+    assignment of all columns except i: bit v set means view v passes. An
+    empty S is the constant-1 cylinder.
     """
 
     n: int
     k: int
     players: tuple[int, ...]
-    tables: tuple[np.ndarray, ...]  # uint8 arrays, aligned with players
+    tables: tuple[int, ...]  # view bitmasks, aligned with players
 
     def evaluate(self, x: InputMatrix) -> int:
         for i, table in zip(self.players, self.tables):
-            if not table[player_view(x, i).encode()]:
+            if not (table >> player_view(x, i).encode()) & 1:
                 return 0
         return 1
 
@@ -271,14 +267,14 @@ def decompose_to_cylinders(
         players = []
         tables = []
         for i in range(1, k + 1):
-            table = np.zeros(view_size, dtype=np.uint8)
+            table = 0
             # consistency of player i with this transcript, view by view;
             # the hidden column is irrelevant so any filler works
             for idx in range(view_size):
                 v = player_view(_matrix_with_view(n, k, i, idx), i)
                 if p.message_rule(i, v, prefix_of[i], ctx, "") == said[i]:
-                    table[idx] = 1
-            if not table.all():
+                    table |= 1 << idx
+            if table != (1 << view_size) - 1:
                 players.append(i)
                 tables.append(table)
         if len(players) > min(cost, k):

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .combinatorics import binom_leq
-from .core import CylinderIntersection, all_ones_cylinder
+from .core import CylinderIntersection
 from .distributions import DistributionSpec, make_dist
 from .functions import (
     PartialFunctionSpec,
@@ -49,7 +49,6 @@ class CharacterSpec:
 
     n: int
     k: int
-    name: str = "mod3char"
 
     def evaluate(self, x: InputMatrix) -> complex:
         t = sum(bin(r).count("1") & 1 for r in x.rows)
@@ -205,11 +204,7 @@ def enumerate_cylinders(n: int, k: int, players: Sequence[int]) -> Iterator[Cyli
     players = tuple(players)
     view_space = 1 << ((k - 1) * n)
     for tabs in product(range(1 << view_space), repeat=len(players)):
-        tables = tuple(
-            np.array([(t >> v) & 1 for v in range(view_space)], dtype=np.uint8)
-            for t in tabs
-        )
-        yield CylinderIntersection(n=n, k=k, players=players, tables=tables)
+        yield CylinderIntersection(n=n, k=k, players=players, tables=tabs)
 
 
 def heuristic_disc(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .matrices import InputMatrix, stack_blocks
+from .matrices import InputMatrix
 
 
 class _Undefined:
@@ -109,7 +109,6 @@ class PartialFunctionSpec:
     discrepancy module: evaluate() returns 0/1/UNDEFINED, in_domain() tells
     whether the input satisfies the promise."""
 
-    name: str
     n: int
     k: int
     evaluate: Callable[[InputMatrix], Value]
@@ -119,19 +118,19 @@ class PartialFunctionSpec:
 
 
 def gip_spec(n: int, k: int) -> PartialFunctionSpec:
-    return PartialFunctionSpec("gip", n, k, eval_gip)
+    return PartialFunctionSpec(n, k, eval_gip)
 
 
 def disj_spec(n: int, k: int) -> PartialFunctionSpec:
-    return PartialFunctionSpec("disj", n, k, eval_disj)
+    return PartialFunctionSpec(n, k, eval_disj)
 
 
 def udisj_spec(n: int, k: int) -> PartialFunctionSpec:
-    return PartialFunctionSpec("udisj", n, k, eval_udisj)
+    return PartialFunctionSpec(n, k, eval_udisj)
 
 
 def mod3xor_spec(n: int, k: int) -> PartialFunctionSpec:
-    return PartialFunctionSpec("mod3xor", n, k, eval_mod3xor)
+    return PartialFunctionSpec(n, k, eval_mod3xor)
 
 
 def xor_of_disj_spec(m: int, n: int, k: int) -> PartialFunctionSpec:
@@ -143,7 +142,7 @@ def xor_of_disj_spec(m: int, n: int, k: int) -> PartialFunctionSpec:
         blocks = [InputMatrix(k=x.k, rows=x.rows[i * n : (i + 1) * n]) for i in range(m)]
         return eval_composed("xor", "disj", blocks)
 
-    return PartialFunctionSpec(f"xor{m}_disj", m * n, k, ev)
+    return PartialFunctionSpec(m * n, k, ev)
 
 
 __all__ = [
@@ -159,5 +158,4 @@ __all__ = [
     "udisj_spec",
     "mod3xor_spec",
     "xor_of_disj_spec",
-    "stack_blocks",
 ]

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import betainccinv, betaincinv
 
 from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check
-from .core import DEFAULT_DECOMPOSE_CAP, ProtocolSpec, decompose_to_cylinders, run
-from .discrepancy import bound_suite
+from .core import ProtocolSpec, decompose_to_cylinders, run
+from .discrepancy import CapExceeded, bound_suite
 from .distributions import parse_dist_string
 from .functions import (
     UNDEFINED,
@@ -51,6 +51,8 @@ from .protocols import (
 from .tape import RandomTape
 
 SCHEMA_VERSION = 1
+# masks x rows that exact_y may enumerate for one input
+EXACT_Y_CAP = 1 << 20
 CSV_HEADER = "n,k,ell,cost_ceiling_bits,mean_cost_bits,emp_error,ci_low,ci_high,seed"
 
 PROTOCOL_BUILDERS: dict[str, Callable[..., ProtocolSpec]] = {
@@ -64,8 +66,6 @@ REFERENCE = {"gip": eval_gip, "disj": eval_disj, "mod3": eval_mod3xor}
 def parse_eps(text) -> Fraction:
     """Accept '1/3' style rationals and decimal strings; exactness matters at
     thresholds like eps == 1/3, where a float would land just below."""
-    if isinstance(text, Fraction):
-        return text
     eps = Fraction(str(text))
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {text}")
@@ -124,8 +124,10 @@ def exact_error_oracle(
     protocol: str, n: int, k: int, eps: Fraction
 ) -> Optional[Callable[[InputMatrix], Fraction]]:
     """Per-input collision-probability formula of the protocol at (n, k, eps),
-    or None unless it runs a single block with a single repetition, the one
-    regime where that formula is the protocol's error."""
+    or None unless it runs a single block with a single repetition. In that
+    regime the formula is the chance the one base run's shared draw collides
+    with an input row: an upper bound on the run's error, reached only when
+    every collision flips the output."""
     if protocol == "gip":
         p = gip_params(n, k, eps)
         if len(p["blocks"]) == 1 and p["reps"] == [1]:
@@ -171,15 +173,16 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
         "oracle_ok": True,
     }
 
-    protocol = None
-    if not cfg.exact_y:
+    if cfg.exact_y:
+        ell = _exact_y_ell(cfg.n, cfg.k, eps)
+    else:
         protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
 
     for t in range(start, stop):
         tape = master.sub(f"trial{t}")
         x = _draw_input(cfg, t, tape, fixed)
         if cfg.exact_y:
-            _exact_y_trial(cfg, eps, x, acc)
+            _exact_y_trial(x, ell, acc)
         else:
             outcome = run(protocol, x, tape)
             acc["runs"] += 1
@@ -193,20 +196,29 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
     return acc
 
 
-def _exact_y_trial(cfg: ExperimentConfig, eps: Fraction, x: InputMatrix, acc: dict):
-    """Enumerate the full mask space for one input: the observed failure set
-    must be contained in the collision set, whose measure must match the
-    closed-form per-input error."""
-    p = gip_params(cfg.n, cfg.k, eps)
+def _exact_y_ell(n: int, k: int, eps: Fraction) -> int:
+    """The mask budget exact_y enumerates at n x k, once the shape is checked
+    to run one block with one repetition and to stay within EXACT_Y_CAP."""
+    p = gip_params(n, k, eps)
     if len(p["blocks"]) != 1 or p["reps"] != [1]:
         raise ValueError("exact_y: needs the single-block, single-rep regime")
     ell = p["ells"][0]
-    total = binom_leq(cfg.k, ell)
+    masks = binom_leq(k, ell)
+    if masks * n > EXACT_Y_CAP:
+        raise CapExceeded(f"exact_y: {masks} masks x {n} rows exceed cap {EXACT_Y_CAP}")
+    return ell
+
+
+def _exact_y_trial(x: InputMatrix, ell: int, acc: dict):
+    """Enumerate the full mask space for one input: the observed failure set
+    must be contained in the collision set, whose measure must match the
+    closed-form per-input error."""
+    total = binom_leq(x.k, ell)
     rows = set(x.rows)
     truth = eval_gip(x)
     collisions = 0
     for rank in range(total):
-        mask = MaskVector.from_rank(cfg.k, ell, rank)
+        mask = MaskVector.from_rank(x.k, ell, rank)
         out, bits = gip_base_outcome(x, mask)
         hit = mask.bits in rows
         collisions += int(hit)
@@ -275,11 +287,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     else:
         bounds_ = [cfg.trials * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_trial_chunk, cfg_dict, a, b)
-                for a, b in zip(bounds_, bounds_[1:])
-                if a < b
-            ]
+            futs = [pool.submit(_trial_chunk, cfg_dict, a, b) for a, b in zip(bounds_, bounds_[1:])]
             acc = _merge([f.result() for f in futs])
 
     applies = acc["oracle_applies"]
@@ -347,14 +355,17 @@ def sweep(
     seed: int = 0,
 ) -> list[str]:
     """One CSV line per (n, k); infeasible combinations keep n, k, seed and
-    leave every measured column empty."""
+    leave every measured column empty. A bad eps, n or k is an error, not
+    an infeasible cell."""
     lines = [CSV_HEADER]
-    eps_value = parse_eps(eps)  # a bad eps is an error, not an infeasible cell
+    eps_value = parse_eps(eps)
+    if any(v < 1 for v in [*n_list, *k_list]):
+        raise ValueError("n, k: must be >= 1")
     for n in n_list:
         for k in k_list:
             try:
                 structural_ell(protocol, n, k, eps_value)
-            except (InfeasibleParameters, ValueError):
+            except InfeasibleParameters:
                 lines.append(f"{n},{k},,,,,,,{seed}")
                 continue
             cfg = ExperimentConfig(
@@ -495,10 +506,8 @@ def _announce_protocol(n: int) -> ProtocolSpec:
         return sum(int(b) for b in bits) & 1
 
     return ProtocolSpec(
-        family="announce",
         n=n,
         k=2,
-        error=0.0,
         simultaneous=True,
         deterministic=True,
         message_rule=message_rule,
@@ -510,10 +519,8 @@ def _announce_protocol(n: int) -> ProtocolSpec:
 
 def _constant_protocol(n: int, k: int, value: int) -> ProtocolSpec:
     return ProtocolSpec(
-        family="const",
         n=n,
         k=k,
-        error=0.0,
         simultaneous=True,
         deterministic=True,
         message_rule=lambda i, view, prefix, tape, ns: "",

@@ -289,7 +289,7 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
         slots, value = _gip_rows_plan(tuple(range(n)), k, eps, tape, ns)
         return _Plan(slots=slots, output=value)
 
-    return _plan_protocol("gip", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
 
 
 def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
@@ -387,7 +387,7 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
 
         return _Plan(slots=slots, output=output)
 
-    return _plan_protocol("disj", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,6 @@ def parity_poly_eval(point: int, x: int, k: int) -> int:
 class Gf3Poly:
     """Multilinear polynomial over GF(3); monomials keyed by column bitmask."""
 
-    k: int
     coeffs: tuple[tuple[int, int], ...]  # (column bitmask, coeff in {1, 2})
 
     def evaluate(self, x: int) -> int:
@@ -458,7 +457,7 @@ def expand_parity_poly(point: int, k: int) -> Gf3Poly:
             coeffs.append((mask, c))
     if k > 0 and coeffs and coeffs[-1][0] == (1 << k) - 1:
         raise AssertionError("full monomial should always cancel")
-    return Gf3Poly(k=k, coeffs=tuple(coeffs))
+    return Gf3Poly(coeffs=tuple(coeffs))
 
 
 def monomial_partition(point: int, k: int) -> dict[int, int]:
@@ -595,4 +594,4 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
         slots, value = _voted_blocks(blocks, reps, 3, rep_slots)
         return _Plan(slots=slots, output=lambda vals: int(value(vals) == 0))
 
-    return _plan_protocol("mod3", n, k, float(eps), plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])

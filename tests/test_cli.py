@@ -283,3 +283,65 @@ def test_disc_refusal_is_one_error_line_naming_the_cap(mode, monkeypatch, capsys
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "exceed cap 1048576" in err[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic", "bns"])
+@pytest.mark.parametrize("ell", ["0", "3"])
+def test_disc_refuses_ell_before_any_enumeration(ell, mode, monkeypatch, capsys):
+    def unrun(*args, **kwargs):
+        raise AssertionError("enumerated before the --ell check")
+
+    for name in ("exact_disc", "heuristic_disc", "_phi_array", "bound_suite"):
+        monkeypatch.setattr(cli, name, unrun)
+    code = main(["disc", "--fn", "gip", "--n", "3", "--k", "2", "--mode", mode, "--ell", ell])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert err == ["error: need 1 <= ell <= k"]
+    assert captured.out == ""
+
+
+def test_exact_y_past_its_cap_is_one_error_line(monkeypatch, capsys):
+    def unrun(*args):
+        raise AssertionError("a mask ran before the cap check")
+
+    monkeypatch.setattr(harness, "gip_base_outcome", unrun)
+    code = main(["simulate", "--protocol", "gip", "--n", "2000", "--k", "32",
+                 "--exact-y", "--trials", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "exceed cap 1048576" in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_list, k_list", [("0,4", "0,3"), ("-2", "3"), ("4", "0")])
+def test_sweep_refuses_n_or_k_below_one(n_list, k_list, monkeypatch, capsys):
+    def unrun(*args):
+        raise AssertionError("a grid cell ran before the shape check")
+
+    monkeypatch.setattr(harness, "structural_ell", unrun)
+    code = main(["sweep", "--protocol", "gip", "--n-list", n_list, "--k-list", k_list])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["error: n, k: must be >= 1"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "--fn", "gip", "--n", "1", "--k", "2", "--format", "csv"],
+    ["exact-error", "--protocol", "gip", "--matrix", "x.txt", "--format", "json"],
+    ["exact-error", "--protocol", "gip", "--matrix", "x.txt", "--seed", "1"],
+])
+def test_flags_a_command_never_reads_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_verify_and_disc_keep_seed(tmp_path):
+    code, payload = run_json(["verify", "--suite", "decompose", "--seed", "3"], tmp_path)
+    assert code == 0 and payload["ok"] is True
+    code, payload = run_json(["disc", "--fn", "gip", "--n", "1", "--k", "2",
+                              "--mode", "heuristic", "--seed", "3"], tmp_path, "d.json")
+    assert code == 0 and payload["mode"] == "heuristic"

@@ -11,7 +11,6 @@ from nofkit.combinatorics import (
     band_size,
     binom_leq,
     binom_sandwich_ok,
-    binomial_pmf,
     fact21_check,
     majority_tail,
     smallest_odd_majority,
@@ -38,12 +37,6 @@ def test_binom_leq_matches_direct_sum():
 
 def test_sandwich_holds_on_grid():
     assert all(binom_sandwich_ok(n, k) for n in range(1, 40) for k in range(1, n + 1))
-
-
-def test_binomial_pmf_sums_to_one():
-    for n in (1, 3, 8):
-        for p in (Fraction(1, 3), Fraction(1, 16)):
-            assert sum(binomial_pmf(n, p)) == 1
 
 
 def test_majority_tail_anchor():

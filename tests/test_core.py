@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from nofkit.core import (
@@ -30,10 +28,8 @@ def and_protocol():
         return int(transcript.player_bits(1) == "1" and transcript.player_bits(2) == "1")
 
     return ProtocolSpec(
-        family="and",
         n=1,
         k=2,
-        error=0.0,
         simultaneous=True,
         deterministic=True,
         message_rule=message_rule,
@@ -54,10 +50,8 @@ def noisy_and_protocol(err_num: int, err_den: int):
         return val ^ int(flip)
 
     return ProtocolSpec(
-        family="noisy-and",
         n=1,
         k=2,
-        error=err_num / err_den,
         simultaneous=True,
         deterministic=False,
         message_rule=base.message_rule,
@@ -81,7 +75,7 @@ def test_run_rejects_wrong_shape():
 
 def test_run_validates_messages_and_output():
     bad_bits = ProtocolSpec(
-        family="bad", n=1, k=1, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=1, simultaneous=True, deterministic=True,
         message_rule=lambda i, v, pre, t, ns: "2",
         output_rule=lambda tr, t, ns: 0,
     )
@@ -89,7 +83,7 @@ def test_run_validates_messages_and_output():
         run(bad_bits, M([1]), RandomTape(0))
 
     bad_len = ProtocolSpec(
-        family="bad", n=1, k=1, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=1, simultaneous=True, deterministic=True,
         message_rule=lambda i, v, pre, t, ns: "01",
         output_rule=lambda tr, t, ns: 0,
         length_rule=lambda i, t, ns: 1,
@@ -98,7 +92,7 @@ def test_run_validates_messages_and_output():
         run(bad_len, M([1]), RandomTape(0))
 
     bad_out = ProtocolSpec(
-        family="bad", n=1, k=1, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=1, simultaneous=True, deterministic=True,
         message_rule=lambda i, v, pre, t, ns: "",
         output_rule=lambda tr, t, ns: 2,
     )
@@ -108,7 +102,7 @@ def test_run_validates_messages_and_output():
 
 def test_empty_messages_leave_no_entry():
     quiet = ProtocolSpec(
-        family="quiet", n=1, k=3, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=3, simultaneous=True, deterministic=True,
         message_rule=lambda i, v, pre, t, ns: "1" if i == 2 else "",
         output_rule=lambda tr, t, ns: 1,
     )
@@ -125,7 +119,7 @@ def test_simultaneous_players_see_empty_prefix():
         return "0"
 
     p = ProtocolSpec(
-        family="spy", n=1, k=3, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=3, simultaneous=True, deterministic=True,
         message_rule=message_rule, output_rule=lambda tr, t, ns: 0,
     )
     run(p, M([1, 1, 1]), RandomTape(0))
@@ -140,7 +134,7 @@ def test_sequential_players_see_growing_prefix():
         return "1"
 
     p = ProtocolSpec(
-        family="seq", n=1, k=2, error=0.0, simultaneous=False, deterministic=True,
+        n=1, k=2, simultaneous=False, deterministic=True,
         message_rule=message_rule, output_rule=lambda tr, t, ns: 0,
     )
     run(p, M([1, 1]), RandomTape(0))
@@ -164,7 +158,7 @@ def test_amplify_requires_odd_t_and_length_rule():
     with pytest.raises(ValueError):
         amplify(and_protocol(), 2)
     lame = ProtocolSpec(
-        family="l", n=1, k=1, error=0.0, simultaneous=True, deterministic=True,
+        n=1, k=1, simultaneous=True, deterministic=True,
         message_rule=lambda i, v, pre, t, ns: "",
         output_rule=lambda tr, t, ns: 0,
     )
@@ -229,6 +223,17 @@ def test_plurality_breaks_ties_toward_the_smallest_value():
 def test_cylinder_evaluate_ignores_unconstrained_players():
     chi = all_ones_cylinder(2, 3)
     assert chi.evaluate(M([1, 0, 1], [0, 0, 0])) == 1
+
+
+def test_cylinders_compare_equal_and_hash():
+    chi = CylinderIntersection(n=1, k=2, players=(1,), tables=(0b10,))
+    twin = CylinderIntersection(n=1, k=2, players=(1,), tables=(0b10,))
+    assert chi == twin and hash(chi) == hash(twin)
+    assert chi != CylinderIntersection(n=1, k=2, players=(1,), tables=(0b01,))
+    # player 1 sees column 2: only inputs with x_2 = 1 pass
+    assert [chi.evaluate(InputMatrix.from_code(1, 2, c)) for c in range(4)] == [0, 0, 1, 1]
+    terms = decompose_to_cylinders(and_protocol())
+    assert len(set(terms)) == len(terms)
 
 
 def test_decompose_reconstructs_protocol_pointwise():

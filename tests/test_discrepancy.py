@@ -122,6 +122,7 @@ def test_enumerate_cylinders_count():
     # each constrained player has 2^(2^(n(k-1))) tables
     chis = list(enumerate_cylinders(1, 2, (1, 2)))
     assert len(chis) == 16
+    assert len(set(chis)) == 16  # hashable, and pairwise distinct
 
 
 # -- heuristic ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nofkit.combinatorics import band_size
 from nofkit.distributions import (
     _NAMES,
-    DistributionSpec,
     _row_with_zero_count_range,
     make_dist,
     nu_counts,

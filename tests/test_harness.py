@@ -10,6 +10,8 @@ import pytest
 from scipy.stats import beta
 
 import nofkit
+from nofkit import harness
+from nofkit.discrepancy import CapExceeded
 from nofkit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -38,6 +40,9 @@ def test_parse_eps_accepts_rationals_and_decimals():
         parse_eps("2")
     with pytest.raises(ValueError):
         parse_eps("0")
+    assert parse_eps(Fraction(1, 3)) == Fraction(1, 3)
+    with pytest.raises(ValueError):
+        parse_eps(Fraction(2))
 
 
 def test_config_validation_messages():
@@ -142,6 +147,21 @@ def test_exact_y_requires_single_block_regime():
         simulate(cfg)
 
 
+def test_exact_y_runs_at_its_cap_and_refuses_past_it(monkeypatch):
+    # n=2 k=3 enumerates 7 masks x 2 rows per input
+    cfg = ExperimentConfig(protocol="gip", n=2, k=3, trials=3, exact_y=True)
+    monkeypatch.setattr(harness, "EXACT_Y_CAP", 14)
+    assert simulate(cfg)["runs"] == 3 * 7
+
+    def unrun(*args):
+        raise AssertionError("a trial ran before the cap check")
+
+    monkeypatch.setattr(harness, "EXACT_Y_CAP", 13)
+    monkeypatch.setattr(harness, "gip_base_outcome", unrun)
+    with pytest.raises(CapExceeded, match="7 masks x 2 rows exceed cap 13"):
+        simulate(cfg)
+
+
 def test_clopper_pearson_properties():
     lo, hi = clopper_pearson(0, 100)
     assert lo == 0.0 and 0 < hi < 0.06
@@ -194,6 +214,17 @@ def test_sweep_header_infeasible_rows_and_monotone_ell():
     assert ells == sorted(ells, reverse=True)
     for r in rows:
         assert r[8] == "3"  # seed column always present
+
+
+@pytest.mark.parametrize("n_list, k_list, eps", [
+    ([0, 4], [3], "1/3"),
+    ([4], [0], "1/3"),
+    ([-2], [3], "1/3"),
+    ([4], [4], Fraction(2)),
+])
+def test_sweep_refuses_bad_shapes_and_eps_instead_of_empty_rows(n_list, k_list, eps):
+    with pytest.raises(ValueError, match="n, k|eps"):
+        sweep("gip", n_list, k_list, eps=eps, trials=4)
 
 
 def test_verify_suites_all_pass():
