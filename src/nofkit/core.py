@@ -240,8 +240,14 @@ def decompose_to_cylinders(
     ctx = rule_context(p, tape, "")
     by_transcript: dict[tuple[TranscriptEntry, ...], list[int]] = {}
     outputs: dict[tuple[TranscriptEntry, ...], int] = {}
+    # per player, the first view in code order with each index: the hidden
+    # column of its input is all zeros
+    shown: dict[int, dict[int, View]] = {i: {} for i in range(1, k + 1)}
     for code in range(domain_size):
         x = InputMatrix.from_code(n, k, code)
+        for i in shown:
+            v = player_view(x, i)
+            shown[i].setdefault(v.encode(), v)
         out = run(p, x, tape)
         key = out.transcript.entries
         by_transcript.setdefault(key, []).append(code)
@@ -268,11 +274,9 @@ def decompose_to_cylinders(
         tables = []
         for i in range(1, k + 1):
             table = 0
-            # consistency of player i with this transcript, view by view;
-            # the hidden column is irrelevant so any filler works
+            # consistency of player i with this transcript, view by view
             for idx in range(view_size):
-                v = player_view(_matrix_with_view(n, k, i, idx), i)
-                if p.message_rule(i, v, prefix_of[i], ctx, "") == said[i]:
+                if p.message_rule(i, shown[i][idx], prefix_of[i], ctx, "") == said[i]:
                     table |= 1 << idx
             if table != (1 << view_size) - 1:
                 players.append(i)
@@ -293,16 +297,3 @@ def decompose_to_cylinders(
             raise ValueError("transcripts do not partition the domain; protocol is ill-formed")
     return terms
 
-
-def _matrix_with_view(n: int, k: int, player: int, idx: int) -> InputMatrix:
-    """A matrix whose visible columns for ``player`` decode ``idx`` (View.encode
-    order: visible columns ascending, n bits each); the hidden column is 0."""
-    rows = [0] * n
-    t = 0
-    for col in range(1, k + 1):
-        if col == player:
-            continue
-        for r in range(n):
-            rows[r] |= ((idx >> (t * n + r)) & 1) << (col - 1)
-        t += 1
-    return InputMatrix(k=k, rows=tuple(rows))

@@ -10,6 +10,11 @@ it is doubly exponential and guarded by a cap; heuristic_disc is a local
 search usable far past that cap, under a cap of its own on the 2^(nk)
 inputs it sweeps; bns_rhs evaluates the tensor-product quantity
 that upper-bounds |E phi chi|^(2^k) for every cylinder intersection chi.
+
+correlation, exact_disc and the heuristic sweep share one family rule
+(_subset_candidates) and one membership test (_passing), which reads each
+input's view indices, computed once per query, against a table tuple. The
+bound table's stacked weights are plain {code: weight} mappings.
 """
 
 from __future__ import annotations
@@ -100,14 +105,6 @@ def _subset_candidates(q: CorrelationQuery) -> list[tuple[int, ...]]:
     return [players]
 
 
-def _chi_allowed(q: CorrelationQuery, chi: CylinderIntersection) -> bool:
-    if isinstance(q.family, int):
-        return len(chi.players) <= q.family
-    if q.family is None:
-        return True
-    return set(chi.players) <= set(q.family)
-
-
 def _signed_items(q: CorrelationQuery) -> list[tuple[InputMatrix, object]]:
     """(input, weight * sign) pairs over the support; exact Fractions for
     Boolean targets with exact weights, complex for the character."""
@@ -146,22 +143,36 @@ def _magnitude(total) -> Union[Fraction, float]:
     return -total if total < 0 else total
 
 
+def _view_rows(items, players: Sequence[int]) -> list[tuple[tuple[int, ...], object]]:
+    """Each item as (its view index for every given player, signed weight),
+    in item order: the precomputed input of _passing."""
+    return [(tuple(player_view(x, i).encode() for i in players), c) for x, c in items]
+
+
+def _passing(rows, tabs: Sequence[int], skip: Optional[int] = None):
+    """Yield the rows whose every view passes its table in tabs (view
+    bitmasks aligned with the rows' players), in row order; table number
+    skip, if given, passes every view. The one membership test of the
+    module."""
+    if skip is not None:
+        tabs = (*tabs[:skip], -1, *tabs[skip + 1 :])  # -1 has every bit set
+    for views, c in rows:
+        for table, v in zip(tabs, views):
+            if not table >> v & 1:
+                break
+        else:
+            yield views, c
+
+
 def correlation(q: CorrelationQuery, chi: CylinderIntersection) -> Union[Fraction, float]:
     """|sum over the domain of weight * (-1)^target * chi|, computed exactly
     (a Fraction) for Boolean targets with exact weights."""
     if (chi.n, chi.k) != (q.n, q.k):
         raise ValueError(f"cylinder is {chi.n}x{chi.k}, query is {q.n}x{q.k}")
-    if not _chi_allowed(q, chi):
+    if not any(set(chi.players) <= set(S) for S in _subset_candidates(q)):
         raise ValueError(f"cylinder players {chi.players} outside the query family")
-    total = 0
-    for x, c in _signed_items(q):
-        if chi.evaluate(x):
-            total = total + c
-    return _magnitude(total)
-
-
-def _view_index_table(items, player: int) -> list[int]:
-    return [player_view(x, player).encode() for x, _ in items]
+    rows = _view_rows(_signed_items(q), chi.players)
+    return _magnitude(sum(c for _, c in _passing(rows, chi.tables)))
 
 
 def exact_disc(q: CorrelationQuery, cap: int = DEFAULT_DISC_CAP) -> Union[Fraction, float]:
@@ -183,16 +194,11 @@ def exact_disc(q: CorrelationQuery, cap: int = DEFAULT_DISC_CAP) -> Union[Fracti
                 "use heuristic_disc or bns_rhs"
             )
     items = _signed_items(q)
-    tables_per_player = 1 << view_space
     best = None
     for S in subsets:
-        vidx = [_view_index_table(items, i) for i in S]
-        for tabs in product(range(tables_per_player), repeat=len(S)):
-            total = 0
-            for pos, (_, c) in enumerate(items):
-                if all((tabs[j] >> vidx[j][pos]) & 1 for j in range(len(S))):
-                    total = total + c
-            value = _magnitude(total)
+        rows = _view_rows(items, S)
+        for tabs in product(range(1 << view_space), repeat=len(S)):
+            value = _magnitude(sum(c for _, c in _passing(rows, tabs)))
             if best is None or value > best:
                 best = value
     return best if best is not None else Fraction(0)
@@ -236,11 +242,12 @@ def heuristic_disc(
         return allones
     if tape is None:
         tape = RandomTape(master_seed=0)
-    is_char = isinstance(q.target, CharacterSpec)
     view_space = 1 << ((q.k - 1) * q.n)
     best = allones
+    # Boolean targets sweep toward either sign; the character re-aligns
+    phases = (None,) if isinstance(q.target, CharacterSpec) else (1, -1)
     for S in subsets:
-        vidx = [_view_index_table(items, i) for i in S]
+        rows = _view_rows(items, S)
         for r in range(restarts):
             if r == 0:
                 tabs = [(1 << view_space) - 1] * len(S)
@@ -249,37 +256,27 @@ def heuristic_disc(
                     tape.randbelow(f"disc/S{'_'.join(map(str, S))}/r{r}/p{i}", 1 << view_space)
                     for i in S
                 ]
-            goals = ("complex",) if is_char else (1, -1)
-            for goal in goals:
-                cur = list(tabs)
-                value = _sweep_to_fixed_point(items, vidx, cur, view_space, goal)
+            for phase in phases:
+                value = _sweep_to_fixed_point(rows, list(tabs), view_space, phase)
                 if value > best:
                     best = value
     return best
 
 
-def _sweep_to_fixed_point(items, vidx, tabs, view_space, goal) -> Union[Fraction, float]:
-    """Alternating entrywise optimization; mutates tabs, returns |total|."""
-
-    def passing(skip: Optional[int]):
-        for pos, (_, c) in enumerate(items):
-            if all(
-                j == skip or (tabs[j] >> vidx[j][pos]) & 1 for j in range(len(tabs))
-            ):
-                yield pos, c
-
+def _sweep_to_fixed_point(rows, tabs, view_space, phase) -> Union[Fraction, float]:
+    """Alternating entrywise optimization of the real part of the total
+    times conj(phase); mutates tabs, returns |total|. phase None re-aligns
+    it with the current total before each table (the complex character)."""
+    realign = phase is None
     for _ in range(64):
         changed = False
         for j in range(len(tabs)):
-            if goal == "complex":
-                total = sum(c for _, c in passing(None))
+            if realign:
+                total = sum(c for _, c in _passing(rows, tabs))
                 phase = total / abs(total) if abs(total) > 1e-15 else 1.0
             coeff = [0] * view_space
-            for pos, c in passing(j):
-                if goal == "complex":
-                    coeff[vidx[j][pos]] += (c * phase.conjugate()).real
-                else:
-                    coeff[vidx[j][pos]] += goal * c
+            for views, c in _passing(rows, tabs, skip=j):
+                coeff[views[j]] += (c * phase.conjugate()).real
             new = 0
             for v, a in enumerate(coeff):
                 if a >= 0:  # ties (and untouched entries) stay on
@@ -289,8 +286,7 @@ def _sweep_to_fixed_point(items, vidx, tabs, view_space, goal) -> Union[Fraction
                 changed = True
         if not changed:
             break
-    total = sum(c for _, c in passing(None))
-    return _magnitude(total)
+    return _magnitude(sum(c for _, c in _passing(rows, tabs)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,41 +347,23 @@ def mod3_char_bns_closed_form(n: int, k: int) -> float:
     return float((1 - 3 * Fraction(1, 2 ** (k + 1))) ** n)
 
 
-def uniform_char_correlation(n: int, k: int, chi: CylinderIntersection) -> float:
-    """|E_X character * chi(X)| with X uniform, the quantity the strict
-    exp(-n/4^ell) bound is about."""
-    q = CorrelationQuery(target=CharacterSpec(n=n, k=k), weight=None, family=None)
-    return float(correlation(q, chi))
-
-
 # ---------------------------------------------------------------------------
 # bound suite
 
 
-@dataclass(frozen=True)
-class _TensorWeight:
-    """Product weight over stacked blocks of equal shape."""
-
-    block: DistributionSpec
-    m: int
-
-    @property
-    def n(self) -> int:
-        return self.block.n * self.m
-
-    @property
-    def k(self) -> int:
-        return self.block.k
-
-    def pmf(self, x: InputMatrix):
-        nb = self.block.n
-        w = Fraction(1)
-        for b in range(self.m):
-            piece = InputMatrix(k=x.k, rows=x.rows[b * nb : (b + 1) * nb])
-            w = w * self.block.pmf(piece)
-            if not w:
-                break
-        return w
+def _stacked(block: DistributionSpec, m: int) -> dict[int, Fraction]:
+    """The product weight of m stacked copies of block, keyed by matrix code:
+    copy b holds rows [b n, (b+1) n), so its code sits at bit b n k."""
+    width = block.n * block.k
+    support = {}
+    for code in range(1 << width):
+        w = block.pmf(InputMatrix.from_code(block.n, block.k, code))
+        if w:
+            support[code] = w
+    out = {0: Fraction(1)}
+    for b in range(m):
+        out = {c | bc << (b * width): w * bw for c, w in out.items() for bc, bw in support.items()}
+    return out
 
 
 def _disc_value(q: CorrelationQuery, cap: int, tape: RandomTape):
@@ -447,14 +425,14 @@ def bound_suite(n: int, k: int, ell: int, m: int = 1, cap: int = DEFAULT_DISC_CA
         "disj-mu-xor",
         None,
         xor_of_disj_spec(m, n, k),
-        _TensorWeight(block=make_dist("mu", n, k), m=m),
+        _stacked(make_dist("mu", n, k), m),
         (2 ** (k - 1) - 1) ** m / math.sqrt(n ** m),
     )
     add(
         "disj-sigma-xor",
         None,
         xor_of_disj_spec(m, n, k),
-        _TensorWeight(block=make_dist("sigma", n, k), m=m),
+        _stacked(make_dist("sigma", n, k), m),
         ((math.sqrt(2 ** k - 1) + 1) * math.sqrt(2 ** k - 2) / 2) ** m
         / math.sqrt(n ** m),
     )
@@ -462,7 +440,7 @@ def bound_suite(n: int, k: int, ell: int, m: int = 1, cap: int = DEFAULT_DISC_CA
         "disj-sigma-ell-xor",
         ell,
         xor_of_disj_spec(m, n, k),
-        _TensorWeight(block=make_dist("sigma_ell", n, k, ell=ell), m=m),
+        _stacked(make_dist("sigma_ell", n, k, ell=ell), m),
         (2 ** ell - 1) ** (m / 2)
         * (binom_leq(k, ell) - 1) ** (m / 2)
         / math.sqrt(n ** m),

@@ -216,29 +216,20 @@ def make_dist(name: str, n: int, k: int, ell: Optional[int] = None) -> Distribut
     return DistributionSpec(name=name, n=n, k=k, ell=ell)
 
 
-def parse_dist_string(
-    spec: str, n: Optional[int] = None, k: Optional[int] = None
-) -> DistributionSpec:
-    """Parse "NAME[:key=val,...]", e.g. "sigma:n=4,k=3" or "upsilon:n=4,k=6,ell=2".
-
-    When the caller fixes the shape (n and k given, as the CLI does), only
-    ell may be set: "upsilon:ell=2". Unknown or repeated keys and
+def parse_dist_string(spec: str, n: int, k: int) -> DistributionSpec:
+    """Parse "NAME[:ell=N]" at the caller's n x k shape, e.g. "sigma" or
+    "upsilon:ell=2". The only key is ell; unknown or repeated keys and
     non-integer values are refused.
     """
     name, colon, args = spec.partition(":")
-    allowed = ("ell",) if n is not None else ("n", "k", "ell")
-    kv: dict[str, int] = {}
+    ell = None
     for part in args.split(",") if colon else ():
         key, _, val = part.partition("=")
-        if key not in allowed or key in kv:
-            why = "given twice" if key in kv else f"not one of {', '.join(allowed)}"
+        if key != "ell" or ell is not None:
+            why = "given twice" if key == "ell" else "not one of ell"
             raise ValueError(f"distribution {spec!r}: key {key!r} {why}")
         try:
-            kv[key] = int(val)
+            ell = int(val)
         except ValueError:
             raise ValueError(f"distribution {spec!r}: {key}={val!r} is not an integer") from None
-    if n is None:
-        if "n" not in kv or "k" not in kv:
-            raise ValueError(f"distribution {spec!r}: needs n= and k=")
-        n, k = kv["n"], kv["k"]
-    return make_dist(name.strip(), n, k, kv.get("ell"))
+    return make_dist(name.strip(), n, k, ell)

@@ -143,6 +143,23 @@ def exact_error_oracle(
     return None
 
 
+def _trial_setup(cfg: ExperimentConfig, eps: Fraction) -> tuple[object, Optional[int]]:
+    """What every trial chunk resolves before its first trial, with every
+    check that can refuse it: the fixed input source (the matrix read from
+    its file and shape-checked, the parsed distribution, or None for
+    exhaustive mode) and the exact_y mask budget (None without exact_y)."""
+    kind, _, rest = cfg.source.partition(":")
+    fixed = None
+    if kind == "file":
+        with open(rest) as fh:
+            fixed = parse_matrix(fh.read())
+        if (fixed.n, fixed.k) != (cfg.n, cfg.k):
+            raise ValueError("source: matrix file shape disagrees with config")
+    elif kind == "dist":
+        fixed = parse_dist_string(rest, cfg.n, cfg.k)
+    return fixed, _exact_y_ell(cfg.n, cfg.k, eps) if cfg.exact_y else None
+
+
 def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
     """Run trials [start, stop); exact accumulators only, so chunk merging
     is order-independent. Top-level so process pools can pickle it."""
@@ -151,16 +168,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
     master = RandomTape(master_seed=cfg.seed)
     evaluate = REFERENCE[cfg.protocol]
 
-    kind = cfg.source.split(":", 1)[0]
-    fixed = None
-    if kind == "file":
-        with open(cfg.source.split(":", 1)[1]) as fh:
-            fixed = parse_matrix(fh.read())
-        if (fixed.n, fixed.k) != (cfg.n, cfg.k):
-            raise ValueError("source: matrix file shape disagrees with config")
-    elif kind == "dist":
-        fixed = parse_dist_string(cfg.source.partition(":")[2], cfg.n, cfg.k)
-
+    fixed, ell = _trial_setup(cfg, eps)
     oracle = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps)
     acc = {
         "runs": 0,
@@ -173,9 +181,7 @@ def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
         "oracle_ok": True,
     }
 
-    if cfg.exact_y:
-        ell = _exact_y_ell(cfg.n, cfg.k, eps)
-    else:
+    if not cfg.exact_y:
         protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
 
     for t in range(start, stop):
@@ -285,6 +291,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     if workers <= 1 or cfg.trials < 2 * workers:
         acc = _trial_chunk(cfg_dict, 0, cfg.trials)
     else:
+        _trial_setup(cfg, eps)  # a bad source or exact_y shape fails before any worker starts
         bounds_ = [cfg.trials * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_trial_chunk, cfg_dict, a, b) for a, b in zip(bounds_, bounds_[1:])]

@@ -315,6 +315,33 @@ def test_exact_y_past_its_cap_is_one_error_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("case", ["exact-y cap", "matrix shape", "dist ell"])
+def test_simulate_refuses_a_bad_source_before_any_worker_starts(
+    case, tmp_path, monkeypatch, capsys
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started before the config checks")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)  # so --workers 2 means two workers
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 3\n111\n011\n")
+    argv, words = {
+        "exact-y cap": (["--protocol", "gip", "--n", "2000", "--k", "32", "--exact-y"],
+                        "exceed cap 1048576"),
+        "matrix shape": (["--protocol", "gip", "--n", "3", "--k", "3", "--matrix", str(matrix)],
+                         "shape disagrees"),
+        "dist ell": (["--protocol", "gip", "--n", "4", "--k", "3", "--dist", "upsilon:ell=9"],
+                     "ell <= k"),
+    }[case]
+    code = main(["simulate", *argv, "--trials", "4", "--workers", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("n_list, k_list", [("0,4", "0,3"), ("-2", "3"), ("4", "0")])
 def test_sweep_refuses_n_or_k_below_one(n_list, k_list, monkeypatch, capsys):
     def unrun(*args):

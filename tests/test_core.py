@@ -10,6 +10,7 @@ from nofkit.core import (
     plurality,
     run,
 )
+from nofkit.harness import _announce_protocol, _constant_protocol
 from nofkit.matrices import InputMatrix
 from nofkit.tape import RandomTape
 
@@ -257,3 +258,57 @@ def test_decompose_rejects_randomized_protocols():
 def test_decompose_cap():
     with pytest.raises(ValueError, match="cap"):
         decompose_to_cylinders(and_protocol(), cap=2)
+
+
+def relay_protocol():
+    """n=2, k=3, sequential: player 1 says x[0][2] ^ x[1][3]; player 2 says
+    that bit AND x[1][1], reading it off the blackboard; output = player 2's bit."""
+
+    def message_rule(i, view, prefix, tape, ns):
+        if i == 1:
+            return str(view.bit(0, 2) ^ view.bit(1, 3))
+        if i == 2:
+            return str(int(prefix[0][1]) & view.bit(1, 1))
+        return ""
+
+    return ProtocolSpec(
+        n=2,
+        k=3,
+        simultaneous=False,
+        deterministic=True,
+        message_rule=message_rule,
+        output_rule=lambda transcript, tape, ns: int(transcript.player_bits(2)),
+        length_rule=lambda i, tape, ns: 1 if i < 3 else 0,
+        cost_ceiling=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, want",
+    [
+        (
+            _announce_protocol(2),
+            [(0, (1,), (1,)), (1, (1,), (2,)), (1, (1,), (4,)), (0, (1,), (8,))],
+        ),
+        (
+            _announce_protocol(3),
+            [(0, (1,), (1,)), (1, (1,), (2,)), (1, (1,), (4,)), (0, (1,), (8,)),
+             (1, (1,), (16,)), (0, (1,), (32,)), (0, (1,), (64,)), (1, (1,), (128,))],
+        ),
+        (_constant_protocol(2, 2, 0), [(0, (), ())]),
+        (_constant_protocol(1, 3, 1), [(1, (), ())]),
+        (
+            and_protocol(),
+            [(0, (1, 2), (1, 1)), (0, (1, 2), (1, 2)), (0, (1, 2), (2, 1)), (1, (1, 2), (2, 2))],
+        ),
+        (
+            relay_protocol(),
+            [(0, (1,), (43605,)), (0, (1, 2), (21930, 13107)), (1, (1, 2), (21930, 52428))],
+        ),
+    ],
+    ids=["announce2", "announce3", "constant0", "constant1", "and", "relay"],
+)
+def test_decompose_terms_are_pinned(protocol, want):
+    terms = decompose_to_cylinders(protocol)
+    assert [(a, chi.players, chi.tables) for a, chi in terms] == want
+    assert all((chi.n, chi.k) == (protocol.n, protocol.k) for _, chi in terms)

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nofkit import discrepancy
-from nofkit.core import all_ones_cylinder
+from nofkit.core import CylinderIntersection, all_ones_cylinder
 from nofkit.discrepancy import (
     CapExceeded,
     CharacterSpec,
@@ -18,7 +20,6 @@ from nofkit.discrepancy import (
     heuristic_disc,
     mod3_char_array,
     mod3_char_bns_closed_form,
-    uniform_char_correlation,
 )
 from nofkit.distributions import make_dist
 from nofkit.functions import gip_spec, udisj_spec
@@ -109,6 +110,15 @@ def test_partial_target_with_supported_weight():
     assert 0 < value <= 1
 
 
+def test_correlation_refuses_a_family_exact_disc_refuses():
+    q = CorrelationQuery(target=gip_spec(1, 2), family=(1, 5))
+    chi = CylinderIntersection(n=1, k=2, players=(1,), tables=(1,))
+    with pytest.raises(ValueError, match=r"bad player subset \(1, 5\)"):
+        exact_disc(q)
+    with pytest.raises(ValueError, match=r"bad player subset \(1, 5\)"):
+        correlation(q, chi)
+
+
 def test_correlation_rejects_out_of_family_cylinder():
     q = CorrelationQuery(target=gip_spec(1, 2), family=(1,))
     for chi in enumerate_cylinders(1, 2, (1, 2)):
@@ -116,6 +126,56 @@ def test_correlation_rejects_out_of_family_cylinder():
             with pytest.raises(ValueError):
                 correlation(q, chi)
             break
+
+
+@st.composite
+def weighted_cylinders(draw):
+    """A query over a random weight and a random cylinder, at n*k <= 6."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6 // k))
+    kind = draw(st.sampled_from(["uniform", "sigma", "mapping", "character"]))
+    target = CharacterSpec(n=n, k=k) if kind == "character" else gip_spec(n, k)
+    weight = None  # uniform
+    if kind == "sigma":
+        weight = make_dist("sigma", n, k)
+    elif kind == "mapping":
+        weight = draw(
+            st.dictionaries(
+                st.integers(0, (1 << (n * k)) - 1),
+                st.fractions(min_value=0, max_value=3, max_denominator=12),
+                max_size=12,
+            )
+        )
+    players = tuple(sorted(draw(st.sets(st.integers(1, k)))))
+    tables = tuple(draw(st.integers(0, (1 << (1 << ((k - 1) * n))) - 1)) for _ in players)
+    chi = CylinderIntersection(n=n, k=k, players=players, tables=tables)
+    return CorrelationQuery(target=target, weight=weight), chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_cylinders())
+def test_correlation_is_the_direct_weighted_sum(case):
+    q, chi = case
+    n, k = q.n, q.k
+    total = 0
+    for code in range(1 << (n * k)):
+        x = InputMatrix.from_code(n, k, code)
+        if q.weight is None:
+            w = Fraction(1, 1 << (n * k))
+        elif isinstance(q.weight, dict):
+            w = q.weight.get(code, 0)
+        else:
+            w = q.weight.pmf(x)
+        if isinstance(q.target, CharacterSpec):
+            total += complex(w) * q.target.evaluate(x) * chi.evaluate(x)
+        else:
+            total += w * (1 - 2 * q.target.evaluate(x)) * chi.evaluate(x)
+    got = correlation(q, chi)
+    if isinstance(q.target, CharacterSpec):
+        assert abs(got - abs(total)) < 1e-12
+    else:
+        assert isinstance(got, Fraction) or got == 0
+        assert got == abs(total)
 
 
 def test_enumerate_cylinders_count():
@@ -181,7 +241,8 @@ def test_disc_lipschitz_in_weight():
 
 
 def test_char_all_ones_anchor():
-    assert uniform_char_correlation(1, 1, all_ones_cylinder(1, 1)) == pytest.approx(0.5)
+    chi = all_ones_cylinder(1, 1)
+    assert correlation(CorrelationQuery(CharacterSpec(1, 1)), chi) == pytest.approx(0.5)
 
 
 def test_char_array_matches_spec_evaluate():
@@ -209,7 +270,7 @@ def test_bns_rhs_bounds_every_cylinder_correlation():
     for n, k in [(1, 1), (1, 2), (2, 2)]:
         rhs = bns_rhs(mod3_char_array(n, k))
         for chi in enumerate_cylinders(n, k, tuple(range(1, k + 1))):
-            corr = uniform_char_correlation(n, k, chi)
+            corr = correlation(CorrelationQuery(CharacterSpec(n, k)), chi)
             assert corr ** (1 << k) <= rhs + 1e-9
 
 
@@ -236,6 +297,54 @@ def test_char_budget_bound_is_strict_at_2_2():
 
 
 # -- bound suite ---------------------------------------------------------------
+
+
+# every row at the four verify shapes; (2, 2, 2, 2) holds the heuristic rows
+BOUND_ROWS = {
+    (2, 2, 1, 1): [
+        ("gip-uniform", "all", 0.3125, "exact", "OK"),
+        ("gip-upsilon-ell", "ell=1", 0.1111111111111111, "exact", "OK"),
+        ("disj-mu-xor", "all", 0.25, "exact", "OK"),
+        ("disj-sigma-xor", "all", 0.3888888888888889, "exact", "VACUOUS"),
+        ("disj-sigma-ell-xor", "ell=1", 0.125, "exact", "VACUOUS"),
+        ("mod3-nu", "ell=1", 0.2, "exact", "VACUOUS"),
+        ("mod3-char", "ell=1", 0.2500000000000001, "exact", "OK"),
+    ],
+    (2, 2, 2, 1): [
+        ("gip-uniform", "all", 0.3125, "exact", "OK"),
+        ("gip-upsilon-ell", "ell=2", 0.3125, "exact", "OK"),
+        ("disj-mu-xor", "all", 0.25, "exact", "OK"),
+        ("disj-sigma-xor", "all", 0.3888888888888889, "exact", "VACUOUS"),
+        ("disj-sigma-ell-xor", "ell=2", 0.3888888888888889, "exact", "VACUOUS"),
+        ("mod3-nu", "ell=2", 0.2, "exact", "VACUOUS"),
+        ("mod3-char", "ell=2", 0.2500000000000001, "exact", "OK"),
+    ],
+    (1, 3, 1, 1): [
+        ("gip-uniform", "all", 0.75, "exact", "OK"),
+        ("gip-upsilon-ell", "ell=1", 0.5, "exact", "OK"),
+        ("disj-mu-xor", "all", 0.5, "exact", "VACUOUS"),
+        ("disj-sigma-xor", "all", 0.5, "exact", "VACUOUS"),
+        ("disj-sigma-ell-xor", "ell=1", 0.3333333333333333, "exact", "VACUOUS"),
+        ("mod3-nu", "ell=1", 0.3333333333333333, "exact", "VACUOUS"),
+        ("mod3-char", "ell=1", 0.5000000000000001, "exact", "OK"),
+    ],
+    (2, 2, 2, 2): [
+        ("gip-uniform", "all", 0.3125, "exact", "OK"),
+        ("gip-upsilon-ell", "ell=2", 0.3125, "exact", "OK"),
+        ("disj-mu-xor", "all", 0.1875, "heuristic", "OK"),
+        ("disj-sigma-xor", "all", 0.20987654320987653, "heuristic", "VACUOUS"),
+        ("disj-sigma-ell-xor", "ell=2", 0.20987654320987653, "heuristic", "VACUOUS"),
+        ("mod3-nu", "ell=2", 0.2, "exact", "VACUOUS"),
+        ("mod3-char", "ell=2", 0.2500000000000001, "exact", "OK"),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BOUND_ROWS))
+def test_bound_suite_rows_are_pinned(shape):
+    rows = bound_suite(*shape)
+    got = [(r["name"], r["family"], r["value"], r["mode"], r["status"]) for r in rows]
+    assert got == BOUND_ROWS[shape]
 
 
 def test_bound_suite_no_violations_micro():

@@ -234,15 +234,16 @@ def test_samples_match_pmf_frequencies():
 
 
 def test_parse_dist_string():
-    d = parse_dist_string("upsilon:n=4,k=6,ell=2")
-    assert (d.name, d.n, d.k, d.ell) == ("upsilon", 4, 6, 2)
-    assert parse_dist_string("sigma:n=4,k=3").name == "sigma"
-    with pytest.raises(ValueError):
-        parse_dist_string("sigma")
-    with pytest.raises(ValueError):
-        parse_dist_string("sigma:n=4")
-    with pytest.raises(ValueError):
-        parse_dist_string("sigma:n=4,k=3,zz=9")
+    # the shape comes from the caller only; n= and k= keys are refused
+    with pytest.raises(TypeError):
+        parse_dist_string("sigma:n=4,k=3")
+    for spec, key in [
+        ("sigma:n=4,k=3", "n"),
+        ("upsilon:k=6,ell=2", "k"),
+        ("upsilon:ell=2,n=4", "n"),
+    ]:
+        with pytest.raises(ValueError, match=f"key '{key}' not one of ell"):
+            parse_dist_string(spec, 4, 6)
 
 
 def test_parse_dist_string_with_fixed_shape():

@@ -1,10 +1,14 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package module imports is read in that module, and every
+private module-level name is read somewhere in the package.
 
-No linter ships with the test dependencies, so this is the check that keeps
-dead imports out: an ``ast`` scan of each ``src/nofkit`` module. A name
-counts as read when it appears as a Name node anywhere in the module, or
-when the module's ``__all__`` re-exports it; ``annotations`` (the
-``from __future__`` switch) is read by the compiler.
+No linter ships with the test dependencies, so these are the checks that
+keep dead imports and left-behind helpers out: ``ast`` scans of the
+``src/nofkit`` modules. An import counts as read when it appears as a Name
+node anywhere in its module, or when the module's ``__all__`` re-exports it;
+``annotations`` (the ``from __future__`` switch) is read by the compiler. A
+private (leading underscore) module-level function, class or assignment
+counts as read when some package module loads it by name, reads it as an
+attribute, or imports it.
 """
 
 import ast
@@ -48,3 +52,55 @@ def test_scan_flags_an_unread_import_and_spares_read_or_exported_ones():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(module):
     assert unread_imports(module.read_text()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assignment targets whose names
+    start with one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_privates(sources: list[str]) -> list[str]:
+    defined = set().union(*(private_definitions(s) for s in sources))
+    read = set().union(*(names_read(s) for s in sources))
+    return sorted(defined - read)
+
+
+def test_private_scan_flags_a_helper_nothing_reads():
+    defining = (
+        "_CAP = 3\n"
+        "_unused: int = 4\n"
+        "def _used(): return _CAP\n"
+        "def _dead(): pass\n"
+        "class _Gone: pass\n"
+        "def _imported(): pass\n"
+        "_attr = 1\n"
+        "def __getattr__(name): pass\n"
+        "def public(): return _used()\n"
+    )
+    reading = "from .a import _imported\nimport a\nx = a._attr\n"
+    assert unread_privates([defining, reading]) == ["_Gone", "_dead", "_unused"]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    sources = [module.read_text() for module in sorted(PACKAGE.glob("*.py"))]
+    assert unread_privates(sources) == []
