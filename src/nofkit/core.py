@@ -243,11 +243,13 @@ def decompose_to_cylinders(
     # per player, the first view in code order with each index: the hidden
     # column of its input is all zeros
     shown: dict[int, dict[int, View]] = {i: {} for i in range(1, k + 1)}
+    view_idx: list[tuple[int, ...]] = []  # per input, every player's view index
     for code in range(domain_size):
         x = InputMatrix.from_code(n, k, code)
-        for i in shown:
-            v = player_view(x, i)
-            shown[i].setdefault(v.encode(), v)
+        views = [player_view(x, i) for i in shown]
+        view_idx.append(tuple(v.encode() for v in views))
+        for i, v, idx in zip(shown, views, view_idx[-1]):
+            shown[i].setdefault(idx, v)
         out = run(p, x, tape)
         key = out.transcript.entries
         by_transcript.setdefault(key, []).append(code)
@@ -290,10 +292,11 @@ def decompose_to_cylinders(
         terms.append((outputs[key], chi))
 
     # every input must be consistent with exactly one transcript, which also
-    # makes sum a_t * chi_t reproduce the protocol output pointwise
-    for code in range(domain_size):
-        x = InputMatrix.from_code(n, k, code)
-        if sum(chi.evaluate(x) for _, chi in terms) != 1:
+    # makes sum a_t * chi_t reproduce the protocol output pointwise; each
+    # term's membership is a lookup of the input's enumerated view indices
+    for idx in view_idx:
+        members = (all(t >> idx[i - 1] & 1 for i, t in zip(c.players, c.tables)) for _, c in terms)
+        if sum(members) != 1:
             raise ValueError("transcripts do not partition the domain; protocol is ill-formed")
     return terms
 

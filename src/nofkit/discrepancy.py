@@ -421,13 +421,14 @@ def bound_suite(n: int, k: int, ell: int, m: int = 1, cap: int = DEFAULT_DISC_CA
         make_dist("upsilon", n, k, ell=ell),
         (1 - Fraction(1, 2 ** (ell - 1) * binom_leq(k, ell))) ** n,
     )
-    add(
-        "disj-mu-xor",
-        None,
-        xor_of_disj_spec(m, n, k),
-        _stacked(make_dist("mu", n, k), m),
-        (2 ** (k - 1) - 1) ** m / math.sqrt(n ** m),
-    )
+    if k > 1 or n == 1:  # mu has no support at k = 1, n > 1
+        add(
+            "disj-mu-xor",
+            None,
+            xor_of_disj_spec(m, n, k),
+            _stacked(make_dist("mu", n, k), m),
+            (2 ** (k - 1) - 1) ** m / math.sqrt(n ** m),
+        )
     add(
         "disj-sigma-xor",
         None,

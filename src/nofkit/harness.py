@@ -2,9 +2,12 @@
 
 Reports are deterministic functions of (config, seed): every trial t derives
 its own tape as master.sub(f"trial{t}") and draws its input from that tape,
-so results do not depend on how trials are scheduled. Aggregation keeps exact
-integer and Fraction accumulators and converts to float only when the report
-is assembled, which is what makes worker-count invariance byte-exact.
+so results do not depend on how trials are scheduled. Every trial yields one
+Tally of exact ints and Fractions, and one fold combines tallies at every
+level: the masks of an exact_y input, the trials of a chunk and the chunks
+of a run. The fold is associative and commutative, and floats appear only
+when the report is assembled, which is what makes worker-count invariance
+byte-exact.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import reduce
+from itertools import product
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import betainccinv, betaincinv
@@ -66,7 +71,10 @@ REFERENCE = {"gip": eval_gip, "disj": eval_disj, "mod3": eval_mod3xor}
 def parse_eps(text) -> Fraction:
     """Accept '1/3' style rationals and decimal strings; exactness matters at
     thresholds like eps == 1/3, where a float would land just below."""
-    eps = Fraction(str(text))
+    try:
+        eps = Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"eps: zero denominator in {text}") from None
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {text}")
     return eps
@@ -90,6 +98,7 @@ class ExperimentConfig:
             raise ValueError("n, k: must be >= 1")
         if self.trials < 1:
             raise ValueError("trials: must be >= 1")
+        RandomTape(master_seed=self.seed)  # refuses a seed outside 64 bits
         parse_eps(self.eps)
         kind = self.source.split(":", 1)[0]
         if kind not in ("dist", "file", "exhaustive"):
@@ -98,15 +107,6 @@ class ExperimentConfig:
             raise ValueError("source: exhaustive input mode needs n*k <= 20")
         if self.exact_y and self.protocol != "gip":
             raise ValueError("exact_y: only the gip protocol enumerates masks")
-
-
-def _draw_input(cfg: ExperimentConfig, trial: int, tape: RandomTape, fixed) -> InputMatrix:
-    kind = cfg.source.split(":", 1)[0]
-    if kind == "exhaustive":
-        return InputMatrix.from_code(cfg.n, cfg.k, trial % (1 << (cfg.n * cfg.k)))
-    if kind == "file":
-        return fixed
-    return fixed.sample(tape.stream("input"))
 
 
 def structural_ell(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int]:
@@ -143,63 +143,72 @@ def exact_error_oracle(
     return None
 
 
-def _trial_setup(cfg: ExperimentConfig, eps: Fraction) -> tuple[object, Optional[int]]:
-    """What every trial chunk resolves before its first trial, with every
-    check that can refuse it: the fixed input source (the matrix read from
-    its file and shape-checked, the parsed distribution, or None for
-    exhaustive mode) and the exact_y mask budget (None without exact_y)."""
+class Tally(NamedTuple):
+    """Exact totals over an exact_y mask, a trial, a chunk or a run. oracle_applies: the
+    per-input oracle applies; oracle_ok: exact_y agreed with it; exact_*: its sum and max."""
+
+    runs: int = 0
+    wrong: int = 0
+    cost_sum: int = 0
+    cost_max: int = 0
+    oracle_applies: bool = True
+    oracle_ok: bool = True
+    exact_sum: Fraction = 0  # int zeros keep the per-mask fold of exact_y cheap
+    exact_max: Fraction = 0
+
+
+def fold(tallies: Iterable[Tally]) -> Tally:
+    """Combine a stream of tallies. Associative and commutative, with Tally() as the
+    identity, so masks, trials and worker chunks may be grouped any way."""
+    return reduce(lambda a, b: Tally(
+        a.runs + b.runs, a.wrong + b.wrong, a.cost_sum + b.cost_sum, max(a.cost_max, b.cost_max),
+        a.oracle_applies and b.oracle_applies, a.oracle_ok and b.oracle_ok,
+        a.exact_sum + b.exact_sum, max(a.exact_max, b.exact_max)), tallies, Tally())
+
+
+def _trial_setup(cfg: ExperimentConfig, eps: Fraction) -> tuple[Callable, Optional[int]]:
+    """What every trial chunk resolves, and every check that can refuse it, before its
+    first trial: draw(t, tape), the input of trial t (the shape-checked matrix file, a
+    sample of the distribution, or code t), and the exact_y mask budget (None without)."""
     kind, _, rest = cfg.source.partition(":")
-    fixed = None
     if kind == "file":
         with open(rest) as fh:
             fixed = parse_matrix(fh.read())
         if (fixed.n, fixed.k) != (cfg.n, cfg.k):
             raise ValueError("source: matrix file shape disagrees with config")
+        draw = lambda t, tape: fixed
     elif kind == "dist":
-        fixed = parse_dist_string(rest, cfg.n, cfg.k)
-    return fixed, _exact_y_ell(cfg.n, cfg.k, eps) if cfg.exact_y else None
+        dist = parse_dist_string(rest, cfg.n, cfg.k)
+        draw = lambda t, tape: dist.sample(tape.stream("input"))
+    else:
+        draw = lambda t, tape: InputMatrix.from_code(cfg.n, cfg.k, t % (1 << (cfg.n * cfg.k)))
+    return draw, _exact_y_ell(cfg.n, cfg.k, eps) if cfg.exact_y else None
 
 
-def _trial_chunk(cfg_dict: dict, start: int, stop: int) -> dict:
-    """Run trials [start, stop); exact accumulators only, so chunk merging
-    is order-independent. Top-level so process pools can pickle it."""
-    cfg = ExperimentConfig(**cfg_dict)
+def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
+    """Trials [start, stop) folded into one Tally; top-level so process pools pickle it."""
     eps = parse_eps(cfg.eps)
     master = RandomTape(master_seed=cfg.seed)
     evaluate = REFERENCE[cfg.protocol]
-
-    fixed, ell = _trial_setup(cfg, eps)
+    draw, ell = _trial_setup(cfg, eps)
     oracle = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps)
-    acc = {
-        "runs": 0,
-        "wrong": 0,
-        "cost_sum": 0,
-        "cost_max": 0,
-        "exact_sum": Fraction(0),
-        "exact_max": Fraction(0),
-        "oracle_applies": oracle is not None,
-        "oracle_ok": True,
-    }
-
-    if not cfg.exact_y:
+    if ell is None:
         protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
 
-    for t in range(start, stop):
+    def trial(t: int) -> Tally:
         tape = master.sub(f"trial{t}")
-        x = _draw_input(cfg, t, tape, fixed)
-        if cfg.exact_y:
-            _exact_y_trial(x, ell, acc)
+        x = draw(t, tape)
+        if ell is not None:
+            tally = _exact_y_trial(x, ell)
         else:
             outcome = run(protocol, x, tape)
-            acc["runs"] += 1
-            acc["wrong"] += int(outcome.output != evaluate(x))
-            acc["cost_sum"] += outcome.cost_bits
-            acc["cost_max"] = max(acc["cost_max"], outcome.cost_bits)
-        if oracle is not None:
-            e = oracle(x)
-            acc["exact_sum"] += e
-            acc["exact_max"] = max(acc["exact_max"], e)
-    return acc
+            tally = Tally(1, int(outcome.output != evaluate(x)), outcome.cost_bits, outcome.cost_bits)
+        if oracle is None:
+            return tally._replace(oracle_applies=False)
+        e = oracle(x)
+        return tally._replace(exact_sum=e, exact_max=e)
+
+    return fold(map(trial, range(start, stop)))
 
 
 def _exact_y_ell(n: int, k: int, eps: Fraction) -> int:
@@ -215,42 +224,26 @@ def _exact_y_ell(n: int, k: int, eps: Fraction) -> int:
     return ell
 
 
-def _exact_y_trial(x: InputMatrix, ell: int, acc: dict):
-    """Enumerate the full mask space for one input: the observed failure set
-    must be contained in the collision set, whose measure must match the
-    closed-form per-input error."""
+def _exact_y_trial(x: InputMatrix, ell: int) -> Tally:
+    """Fold one tally per mask of one input's full mask space: the failure set must lie
+    in the collision set, whose measure must match the closed-form per-input error."""
     total = binom_leq(x.k, ell)
     rows = set(x.rows)
     truth = eval_gip(x)
     collisions = 0
-    for rank in range(total):
+
+    def mask_tally(rank: int) -> Tally:
+        nonlocal collisions
         mask = MaskVector.from_rank(x.k, ell, rank)
         out, bits = gip_base_outcome(x, mask)
         hit = mask.bits in rows
-        collisions += int(hit)
+        collisions += hit
         wrong = int(out != truth)
-        if wrong and not hit:
-            acc["oracle_ok"] = False
-        acc["runs"] += 1
-        acc["wrong"] += wrong
-        acc["cost_sum"] += len(bits)
-        acc["cost_max"] = max(acc["cost_max"], len(bits))
-    if Fraction(collisions, total) != exact_gip_error(x, ell):
-        acc["oracle_ok"] = False
+        return Tally(1, wrong, len(bits), len(bits), True, hit or not wrong)
 
-
-def _merge(parts: list[dict]) -> dict:
-    out = parts[0]
-    for p in parts[1:]:
-        out["runs"] += p["runs"]
-        out["wrong"] += p["wrong"]
-        out["cost_sum"] += p["cost_sum"]
-        out["cost_max"] = max(out["cost_max"], p["cost_max"])
-        out["exact_sum"] += p["exact_sum"]
-        out["exact_max"] = max(out["exact_max"], p["exact_max"])
-        out["oracle_applies"] = out["oracle_applies"] and p["oracle_applies"]
-        out["oracle_ok"] = out["oracle_ok"] and p["oracle_ok"]
-    return out
+    tally = fold(map(mask_tally, range(total)))
+    agrees = Fraction(collisions, total) == exact_gip_error(x, ell)
+    return tally._replace(oracle_ok=tally.oracle_ok and agrees)
 
 
 def clopper_pearson(wrong: int, trials: int, confidence: float = 0.99):
@@ -286,47 +279,37 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """
     t0 = time.monotonic()
     eps = parse_eps(cfg.eps)
-    cfg_dict = asdict(cfg)
     workers = effective_workers(workers, cfg.trials)
     if workers <= 1 or cfg.trials < 2 * workers:
-        acc = _trial_chunk(cfg_dict, 0, cfg.trials)
+        tally = _trial_chunk(cfg, 0, cfg.trials)
     else:
         _trial_setup(cfg, eps)  # a bad source or exact_y shape fails before any worker starts
         bounds_ = [cfg.trials * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_trial_chunk, cfg_dict, a, b) for a, b in zip(bounds_, bounds_[1:])]
-            acc = _merge([f.result() for f in futs])
+            tally = fold(pool.map(_trial_chunk, [cfg] * workers, bounds_, bounds_[1:]))
 
-    applies = acc["oracle_applies"]
     protocol = PROTOCOL_BUILDERS[cfg.protocol](cfg.n, cfg.k, eps)
-    if protocol.cost_ceiling is not None and acc["cost_max"] > protocol.cost_ceiling:
-        raise CostCeilingExceeded(
-            f"measured cost {acc['cost_max']} above ceiling {protocol.cost_ceiling}"
-        )
-    emp = Fraction(acc["wrong"], acc["runs"])
-    if cfg.exact_y:
-        ci_low = ci_high = None
-    else:
-        ci_low, ci_high = clopper_pearson(acc["wrong"], acc["runs"])
-    report = {
+    if protocol.cost_ceiling is not None and tally.cost_max > protocol.cost_ceiling:
+        raise CostCeilingExceeded(f"measured cost {tally.cost_max} above ceiling {protocol.cost_ceiling}")
+    ci_low, ci_high = (None, None) if cfg.exact_y else clopper_pearson(tally.wrong, tally.runs)
+    return {
         "schema": SCHEMA_VERSION,
-        "config": cfg_dict,
-        "runs": acc["runs"],
-        "wrong": acc["wrong"],
-        "emp_error": float(emp),
+        "config": asdict(cfg),
+        "runs": tally.runs,
+        "wrong": tally.wrong,
+        "emp_error": tally.wrong / tally.runs,
         "ci_low": ci_low,
         "ci_high": ci_high,
-        "mean_cost_bits": acc["cost_sum"] / acc["runs"],
-        "worst_cost_bits": acc["cost_max"],
+        "mean_cost_bits": tally.cost_sum / tally.runs,
+        "worst_cost_bits": tally.cost_max,
         "cost_ceiling_bits": protocol.cost_ceiling,
         "ell": structural_ell(cfg.protocol, cfg.n, cfg.k, eps),
-        "exact_error_mean": float(acc["exact_sum"] / cfg.trials) if applies else None,
-        "exact_error_max": float(acc["exact_max"]) if applies else None,
-        "exact_oracle_checked": acc["oracle_ok"] if cfg.exact_y else None,
+        "exact_error_mean": float(tally.exact_sum / cfg.trials) if tally.oracle_applies else None,
+        "exact_error_max": float(tally.exact_max) if tally.oracle_applies else None,
+        "exact_oracle_checked": tally.oracle_ok if cfg.exact_y else None,
         "seed": cfg.seed,
         "wall_clock_s": round(time.monotonic() - t0, 6),
     }
-    return report
 
 
 def report_to_json(report: dict) -> str:
@@ -362,23 +345,20 @@ def sweep(
     seed: int = 0,
 ) -> list[str]:
     """One CSV line per (n, k); infeasible combinations keep n, k, seed and
-    leave every measured column empty. A bad eps, n or k is an error, not
-    an infeasible cell."""
+    leave every measured column empty. A bad eps, n, k, protocol, trials or
+    seed is an error, not an infeasible cell, even where no cell is feasible."""
     lines = [CSV_HEADER]
     eps_value = parse_eps(eps)
     if any(v < 1 for v in [*n_list, *k_list]):
         raise ValueError("n, k: must be >= 1")
-    for n in n_list:
-        for k in k_list:
-            try:
-                structural_ell(protocol, n, k, eps_value)
-            except InfeasibleParameters:
-                lines.append(f"{n},{k},,,,,,,{seed}")
-                continue
-            cfg = ExperimentConfig(
-                protocol=protocol, n=n, k=k, eps=eps, trials=trials, seed=seed
-            )
-            lines.append(report_to_csv_row(simulate(cfg)))
+    base = ExperimentConfig(protocol=protocol, n=1, k=1, eps=eps, trials=trials, seed=seed)
+    for n, k in product(n_list, k_list):
+        try:
+            structural_ell(protocol, n, k, eps_value)
+        except InfeasibleParameters:
+            lines.append(f"{n},{k},,,,,,,{seed}")
+            continue
+        lines.append(report_to_csv_row(simulate(replace(base, n=n, k=k))))
     return lines
 
 

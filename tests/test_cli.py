@@ -78,7 +78,7 @@ def test_sweep_csv_and_json(tmp_path, capsys):
     assert payload["rows"][0]["n"] == "4" and payload["rows"][0]["k"] == "3"
 
 
-@pytest.mark.parametrize("eps", ["2", "abc"])
+@pytest.mark.parametrize("eps", ["2", "abc", "1/0"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_bad_eps_is_one_error_line(eps, fmt, capsys):
     code = main(["sweep", "--protocol", "gip", "--n-list", "4,8", "--k-list", "4",
@@ -88,6 +88,32 @@ def test_sweep_bad_eps_is_one_error_line(eps, fmt, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and eps in err[0]
     assert captured.out == ""
+
+
+def test_simulate_zero_denominator_eps_is_one_error_line(capsys):
+    code = main(["simulate", "--protocol", "gip", "--n", "2", "--k", "3", "--eps", "1/0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["error: eps: zero denominator in 1/0"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--trials", "0"], "trials: must be >= 1"),
+    (["--seed", "-1"], "master_seed must fit in 64 bits"),
+])
+def test_sweep_with_no_feasible_cell_still_checks_trials_and_seed(flags, words, capsys):
+    code = main(["sweep", "--protocol", "gip", "--n-list", "8", "--k-list", "2", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {words}"]
+    assert captured.out == ""
+
+
+def test_disc_at_k1_leaves_out_the_empty_mu_row(tmp_path):
+    code, payload = run_json(["disc", "--fn", "gip", "--n", "2", "--k", "1"], tmp_path)
+    assert code == 0
+    assert [c["name"] for c in payload["bound_checks"]] == ["gip-uniform", "gip-upsilon-ell"]
 
 
 def test_disc_exact_gip(tmp_path):

@@ -384,3 +384,13 @@ def test_bound_suite_validates_ell():
         bound_suite(2, 2, 0, 1)
     with pytest.raises(ValueError):
         bound_suite(2, 2, 3, 1)
+
+
+@pytest.mark.parametrize("n, want", [(1, 7), (2, 6), (3, 6)])
+def test_bound_suite_leaves_out_the_mu_row_where_mu_is_empty(n, want):
+    # at k = 1 every row is all-ones on its empty prefix, so mu has no
+    # support once n > 1; the other six rows still evaluate
+    rows = bound_suite(n, 1, 1)
+    assert len(rows) == want
+    assert ("disj-mu-xor" in {r["name"] for r in rows}) == (n == 1)
+    assert all(r["status"] != "VIOLATION" for r in rows)

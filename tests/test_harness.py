@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 import nofkit
@@ -15,8 +17,10 @@ from nofkit.discrepancy import CapExceeded
 from nofkit.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    _trial_chunk,
     clopper_pearson,
     effective_workers,
+    fold,
     parse_eps,
     report_to_csv_row,
     report_to_json,
@@ -43,6 +47,8 @@ def test_parse_eps_accepts_rationals_and_decimals():
     assert parse_eps(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         parse_eps(Fraction(2))
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_eps("1/0")
 
 
 def test_config_validation_messages():
@@ -56,11 +62,37 @@ def test_config_validation_messages():
         ExperimentConfig(protocol="mod3", n=2, k=3, exact_y=True)
     with pytest.raises(ValueError, match="source"):
         ExperimentConfig(protocol="gip", n=2, k=3, source="http:nope")
+    with pytest.raises(ValueError, match="64 bits"):
+        ExperimentConfig(protocol="gip", n=2, k=3, seed=-1)
 
 
 def test_simulate_reports_are_reproducible():
     cfg = ExperimentConfig(protocol="gip", n=4, k=3, trials=40, seed=123)
     assert strip_clock(simulate(cfg)) == strip_clock(simulate(cfg))
+
+
+FOLD_CASES = [
+    dict(protocol="gip", n=2, k=3),  # oracle applies
+    dict(protocol="gip", n=3, k=2),  # blocked: no oracle
+    dict(protocol="disj", n=4, k=3),
+    dict(protocol="mod3", n=3, k=4),
+    dict(protocol="gip", n=2, k=3, source="exhaustive", exact_y=True),
+]
+FOLD_TRIALS = 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, len(FOLD_CASES) - 1),
+    cuts=st.lists(st.integers(0, FOLD_TRIALS), max_size=5),
+)
+def test_folded_chunks_equal_one_chunk(case, cuts):
+    # any split of [0, T) into chunks, empty ones included, folds to the
+    # tally of the whole range: the fold is what worker counts rely on
+    cfg = ExperimentConfig(trials=FOLD_TRIALS, seed=5, **FOLD_CASES[case])
+    bounds = [0, *sorted(cuts), FOLD_TRIALS]
+    parts = fold(_trial_chunk(cfg, a, b) for a, b in zip(bounds, bounds[1:]))
+    assert parts == _trial_chunk(cfg, 0, FOLD_TRIALS)
 
 
 def test_simulate_worker_count_invariance():
@@ -225,6 +257,17 @@ def test_sweep_header_infeasible_rows_and_monotone_ell():
 def test_sweep_refuses_bad_shapes_and_eps_instead_of_empty_rows(n_list, k_list, eps):
     with pytest.raises(ValueError, match="n, k|eps"):
         sweep("gip", n_list, k_list, eps=eps, trials=4)
+
+
+@pytest.mark.parametrize("protocol, trials, seed, words", [
+    ("foo", 4, 0, "protocol"),  # structural_ell would read any name as mod3
+    ("gip", 0, 0, "trials"),
+    ("gip", 4, -1, "64 bits"),
+    ("gip", 4, 1 << 64, "64 bits"),
+])
+def test_sweep_checks_the_config_even_where_no_cell_is_feasible(protocol, trials, seed, words):
+    with pytest.raises(ValueError, match=words):
+        sweep(protocol, [8], [2], trials=trials, seed=seed)
 
 
 def test_verify_suites_all_pass():

@@ -14,7 +14,7 @@ import pytest
 from nofkit.core import run
 from nofkit.distributions import make_dist
 from nofkit.harness import ExperimentConfig, simulate
-from nofkit.matrices import InputMatrix
+from nofkit.matrices import InputMatrix, format_matrix
 from nofkit.protocols import disj_protocol, gip_protocol, mod3_protocol
 from nofkit.tape import RandomTape
 
@@ -65,6 +65,33 @@ def test_simulate_reports_are_pinned(protocol, n, k, source, trials, want):
     cfg = ExperimentConfig(protocol=protocol, n=n, k=k, source=source, trials=trials, seed=1)
     report = simulate(cfg)
     del report["wall_clock_s"]
+    assert digest(report) == want
+
+
+@pytest.mark.parametrize(
+    "fields, workers, want",
+    [
+        # every matrix code twice, every mask per code
+        (dict(protocol="gip", n=2, k=3, source="exhaustive", trials=128, exact_y=True),
+         1, "d2a997ed3a4f88de"),
+        (dict(protocol="gip", n=2, k=3, source="file", trials=5, exact_y=True),
+         1, "eb3703accfbc0db6"),
+        (dict(protocol="mod3", n=3, k=4, trials=40), 1, "c1109a4561c4b473"),  # oracle applies
+        (dict(protocol="gip", n=3, k=2, trials=20), 1, "5cb061dbd44465d9"),  # blocked: no oracle
+        (dict(protocol="disj", n=8, k=3, trials=12), 2, "9f71492e53af7349"),  # two worker chunks
+    ],
+)
+def test_simulate_tallies_are_pinned(fields, workers, want, tmp_path, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)  # so workers=2 means two chunks
+    from_file = fields.get("source") == "file"
+    if from_file:
+        path = tmp_path / "x.txt"
+        path.write_text(format_matrix(InputMatrix.from_bits([[1, 1, 1], [0, 1, 1]])))
+        fields = dict(fields, source=f"file:{path}")
+    report = simulate(ExperimentConfig(seed=1, **fields), workers=workers)
+    del report["wall_clock_s"]
+    if from_file:  # the report echoes the file's path, which tmp_path varies
+        report["config"]["source"] = "file:x.txt"
     assert digest(report) == want
 
 
