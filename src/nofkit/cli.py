@@ -33,6 +33,7 @@ from .harness import (
     report_to_csv_row,
     report_to_json,
     simulate,
+    single_run_width,
     sweep,
     verify,
 )
@@ -169,18 +170,18 @@ def _cmd_exact_error(args) -> int:
         err = exact_gip_error(x, args.ell)
         out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": args.ell}
     else:
-        params = gip_params if args.protocol == "gip" else mod3_params
-        p = params(x.n, x.k, DEFAULT_ERROR)
-        oracle = exact_error_oracle(args.protocol, x.n, x.k, DEFAULT_ERROR)
-        if oracle is None:
+        width = single_run_width(args.protocol, x.n, x.k, DEFAULT_ERROR)
+        if width is None:
+            params = gip_params if args.protocol == "gip" else mod3_params
+            p = params(x.n, x.k, DEFAULT_ERROR)
             raise ValueError(
                 f"{args.protocol} at n={x.n} k={x.k} runs {len(p['blocks'])} block(s) x "
                 f"{p['reps'][0]} repetition(s); the per-input oracle covers only "
                 "one block with one repetition"
             )
-        err = oracle(x)
-        width = {"ell": p["ells"][0]} if args.protocol == "gip" else {"k_eff": p["k_effs"][0]}
-        out = {"protocol": args.protocol, "n": x.n, "k": x.k, **width}
+        err = exact_error_oracle(args.protocol, x.n, x.k, DEFAULT_ERROR)(x)
+        key = "ell" if args.protocol == "gip" else "k_eff"
+        out = {"protocol": args.protocol, "n": x.n, "k": x.k, key: width}
     out["exact_error"] = float(err)
     out["exact_error_repr"] = str(err)
     _write(args, json.dumps(out, sort_keys=True, indent=2) + "\n")

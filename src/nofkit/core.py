@@ -8,15 +8,16 @@ for protocols declared simultaneous), the tape (or the run's plan, see
 ProtocolSpec), and a namespace string that keeps nested draws independent.
 
 Message lengths must not depend on the input: protocols declare a length_rule
-(player, tape, ns) -> bits so that concatenated repetitions can be split
-deterministically. Every built-in protocol satisfies this; it is also what
-makes the cost accounting meaningful, since an input-dependent length would
-smuggle information around the bit count.
+(player, tape, ns) -> bits so that a message made of several pieces can be
+split deterministically. Every built-in protocol satisfies this; it is also
+what makes the cost accounting meaningful, since an input-dependent length
+would smuggle information around the bit count. Repetition and voting live
+in the protocols' plans (``protocols``), and ``plurality`` is their vote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .matrices import InputMatrix, View, player_view
@@ -48,7 +49,8 @@ class Transcript:
     def pieces(self, widths: Iterable[tuple[int, int]]) -> list[str]:
         """Cut each player's bits into consecutive pieces of the declared
         (player, width) sizes, taken in the order given: the one decoder of
-        concatenated messages (plan slots, amplified repetitions)."""
+        concatenated messages (a plan's pieces, one per speaker, block and
+        repetition)."""
         cursor: dict[int, int] = {}
         spans = []
         for player, width in widths:
@@ -131,55 +133,6 @@ def plurality(values: Iterable[int], q: int) -> int:
     for v in values:
         counts[v] += 1
     return counts.index(max(counts))
-
-
-def amplify(p: ProtocolSpec, t: int) -> ProtocolSpec:
-    """Majority vote over t independent repetitions.
-
-    t must be odd; t=1 returns p unchanged. Each repetition r draws its
-    randomness under the namespace "rep{r}/", so repetitions are independent
-    and any player can re-derive the split points from the tape. The plan
-    holds each repetition's (context, namespace), built once per run.
-    """
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 1")
-    if t == 1:
-        return p
-    if p.length_rule is None:
-        raise ValueError("amplify needs a protocol with a declared length rule")
-
-    base = p
-    players = range(1, base.k + 1)
-
-    def plan(tape, ns):
-        namespaces = [f"{ns}rep{r}/" for r in range(t)]
-        return [(rule_context(base, tape, rep_ns), rep_ns) for rep_ns in namespaces]
-
-    def message_rule(i, view, prefix, reps, ns):
-        return "".join(base.message_rule(i, view, prefix, ctx, rep_ns) for ctx, rep_ns in reps)
-
-    def length_rule(i, reps, ns):
-        return sum(base.length_rule(i, ctx, rep_ns) for ctx, rep_ns in reps)
-
-    def output_rule(transcript, reps, ns):
-        pieces = transcript.pieces(
-            (i, base.length_rule(i, ctx, rep_ns)) for ctx, rep_ns in reps for i in players
-        )
-        votes = []
-        for r, (ctx, rep_ns) in enumerate(reps):
-            said = zip(players, pieces[r * base.k : (r + 1) * base.k])
-            entries = tuple((i, bits) for i, bits in said if bits)
-            votes.append(base.output_rule(Transcript(entries=entries), ctx, rep_ns))
-        return plurality(votes, 2)
-
-    return replace(
-        base,
-        message_rule=message_rule,
-        output_rule=output_rule,
-        length_rule=length_rule,
-        cost_ceiling=None if base.cost_ceiling is None else t * base.cost_ceiling,
-        plan=plan,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -120,27 +120,33 @@ def structural_ell(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int
     return max(mod3_params(n, k, eps)["k_effs"])
 
 
+def single_run_width(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int]:
+    """The width of the protocol's one base run at (n, k, eps): gip's mask
+    budget ell or mod3's effective column count k_eff. None unless the
+    protocol runs a single block with a single repetition, which disj never
+    does."""
+    if protocol == "disj":
+        return None
+    p = gip_params(n, k, eps) if protocol == "gip" else mod3_params(n, k, eps)
+    if len(p["blocks"]) != 1 or p["reps"] != [1]:
+        return None
+    return p["ells"][0] if protocol == "gip" else p["k_effs"][0]
+
+
 def exact_error_oracle(
     protocol: str, n: int, k: int, eps: Fraction
 ) -> Optional[Callable[[InputMatrix], Fraction]]:
     """Per-input collision-probability formula of the protocol at (n, k, eps),
-    or None unless it runs a single block with a single repetition. In that
+    or None outside the single-run regime of ``single_run_width``. In that
     regime the formula is the chance the one base run's shared draw collides
     with an input row: an upper bound on the run's error, reached only when
     every collision flips the output."""
+    width = single_run_width(protocol, n, k, eps)
+    if width is None:
+        return None
     if protocol == "gip":
-        p = gip_params(n, k, eps)
-        if len(p["blocks"]) == 1 and p["reps"] == [1]:
-            ell = p["ells"][0]
-            return lambda x: exact_gip_error(x, ell)
-    if protocol == "mod3":
-        p = mod3_params(n, k, eps)
-        if len(p["blocks"]) == 1 and p["reps"] == [1]:
-            k_eff = p["k_effs"][0]
-            return lambda x: exact_mod3_error(
-                InputMatrix(k=k_eff, rows=fold_rows(x.rows, k_eff))
-            )
-    return None
+        return lambda x: exact_gip_error(x, width)
+    return lambda x: exact_mod3_error(InputMatrix(k=width, rows=fold_rows(x.rows, width)))
 
 
 class Tally(NamedTuple):
@@ -198,14 +204,14 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
     def trial(t: int) -> Tally:
         tape = master.sub(f"trial{t}")
         x = draw(t, tape)
+        e = None if oracle is None else oracle(x)
         if ell is not None:
-            tally = _exact_y_trial(x, ell)
+            tally = _exact_y_trial(x, ell, e)
         else:
             outcome = run(protocol, x, tape)
             tally = Tally(1, int(outcome.output != evaluate(x)), outcome.cost_bits, outcome.cost_bits)
-        if oracle is None:
+        if e is None:
             return tally._replace(oracle_applies=False)
-        e = oracle(x)
         return tally._replace(exact_sum=e, exact_max=e)
 
     return fold(map(trial, range(start, stop)))
@@ -214,19 +220,19 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
 def _exact_y_ell(n: int, k: int, eps: Fraction) -> int:
     """The mask budget exact_y enumerates at n x k, once the shape is checked
     to run one block with one repetition and to stay within EXACT_Y_CAP."""
-    p = gip_params(n, k, eps)
-    if len(p["blocks"]) != 1 or p["reps"] != [1]:
+    ell = single_run_width("gip", n, k, eps)
+    if ell is None:
         raise ValueError("exact_y: needs the single-block, single-rep regime")
-    ell = p["ells"][0]
     masks = binom_leq(k, ell)
     if masks * n > EXACT_Y_CAP:
         raise CapExceeded(f"exact_y: {masks} masks x {n} rows exceed cap {EXACT_Y_CAP}")
     return ell
 
 
-def _exact_y_trial(x: InputMatrix, ell: int) -> Tally:
+def _exact_y_trial(x: InputMatrix, ell: int, expected: Fraction) -> Tally:
     """Fold one tally per mask of one input's full mask space: the failure set must lie
-    in the collision set, whose measure must match the closed-form per-input error."""
+    in the collision set, whose measure must match ``expected``, the closed-form
+    per-input error the trial's oracle gave."""
     total = binom_leq(x.k, ell)
     rows = set(x.rows)
     truth = eval_gip(x)
@@ -242,7 +248,7 @@ def _exact_y_trial(x: InputMatrix, ell: int) -> Tally:
         return Tally(1, wrong, len(bits), len(bits), True, hit or not wrong)
 
     tally = fold(map(mask_tally, range(total)))
-    agrees = Fraction(collisions, total) == exact_gip_error(x, ell)
+    agrees = Fraction(collisions, total) == expected
     return tally._replace(oracle_ok=tally.oracle_ok and agrees)
 
 

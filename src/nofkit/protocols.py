@@ -2,12 +2,12 @@
 
 All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
-alone, never from the input. Each spec's ``plan`` describes one run: an
-ordered list of slots (player, bit-width, view -> bits) plus an aggregator
-from slot values to the output. ``core.run`` builds it once per run and
-hands it to the message, length, and output rules, which read nothing
-else; that keeps the transcript splittable and the declared cost ceilings
-honest.
+alone, never from the input. Each spec's ``plan`` describes one run as data:
+per call, a tuple of row blocks, each holding its rows, the width they are
+read at and one shared draw per repetition. ``core.run`` builds it once per
+run and hands it to one message, one length and one output rule shared by
+all three protocols, which read nothing else; that keeps the transcript
+splittable and the declared cost ceilings honest.
 
 gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 the players sitting at the zero positions each broadcast one
@@ -19,7 +19,7 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
                 disjoint and 1/2 otherwise; declares disjoint when at least
-                3/4 of the amplified subcalls answer zero.
+                3/4 of the subcalls answer zero.
 
 mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
                 GF(3) sum of a degree-(k-1) polynomial that agrees with XOR
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import ceil, log
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript, plurality
@@ -119,32 +119,100 @@ def enumerate_masks(k: int, ell: int):
 # ---------------------------------------------------------------------------
 # plan machinery
 
-Slot = tuple[int, int, Callable[[View], str]]  # (player, bit width, compute)
+Draw = Union[tuple[int, ...], dict[int, list[int]]]
+
+
+@dataclass
+class Block:
+    """One row block of a voted call: its row ids, the width its rows are read
+    at (k for gip, the folded k_eff for mod3) and one shared draw per
+    repetition. A draw is keyed by its speakers: gip's mask zero positions,
+    or mod3's GF(3) tables per player (``mod3_message_tables``)."""
+
+    rows: tuple[int, ...]
+    width: int
+    draws: tuple[Draw, ...]
+    speakers: frozenset[int] = field(init=False)  # who speaks in some repetition
+
+    def __post_init__(self):
+        self.speakers = frozenset().union(*self.draws)
 
 
 @dataclass
 class _Plan:
-    slots: list[Slot]
-    output: Callable[[list[int]], int]  # slot values, each decoded as a binary int
-    by_player: dict[int, list[Slot]] = field(init=False)  # slots in plan order
+    """One run as data: per call (one for gip and mod3, one per row subset
+    for disj) its blocks, the field Z_q a repetition sums in, and decide,
+    the output from the per-call values. A call without blocks has value 0."""
+
+    calls: tuple[tuple[Block, ...], ...]
+    q: int
+    decide: Callable[[list[int]], int]
+    # (player, bits) of every piece in (call, block, repetition, speaker)
+    # order, and the bits per player: computed once, read by every rule call
+    pieces: list[tuple[int, int]] = field(init=False)
+    lengths: dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        self.by_player = {}
-        for slot in self.slots:
-            self.by_player.setdefault(slot[0], []).append(slot)
+        bits = ceil_log2(self.q)
+        self.pieces = [
+            (i, bits)
+            for blocks in self.calls
+            for block in blocks
+            for draw in block.draws
+            for i in draw
+        ]
+        self.lengths = {}
+        for i, width in self.pieces:
+            self.lengths[i] = self.lengths.get(i, 0) + width
+
+
+def block_piece(q: int, rows: Sequence[int], draw: Draw, player: int, width: int) -> str:
+    """A speaker's piece for one repetition of a block, from the block's rows
+    as the player sees them (masked, and folded to ``width``): for q = 2 the
+    gip broadcast bit under the mask with zero positions ``draw``; for q = 3
+    the two-bit GF(3) sum of one lookup in the player's table per row that
+    holds columns 1..player-1."""
+    if q == 2:
+        return str(gip_broadcast_bit(rows, draw, draw.index(player) + 1, width))
+    table = draw[player]
+    need = (1 << (player - 1)) - 1
+    total = sum(table[eff >> player] for eff in rows if eff & need == need)
+    return format(total % 3, "02b")
 
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan, ns: str) -> str:
-    return "".join(fn(view) for _, _, fn in plan.by_player.get(i, ()))
+    """Player i's pieces in (call, block, repetition) order. It masks, and
+    folds, a block's rows once, and only for blocks it speaks in."""
+    pieces = []
+    for blocks in plan.calls:
+        for block in blocks:
+            if i not in block.speakers:
+                continue
+            rows = [view.masked_row(r) for r in block.rows]
+            if block.width < view.k:
+                rows = fold_rows(rows, block.width)
+            for draw in block.draws:
+                if i in draw:
+                    pieces.append(block_piece(plan.q, rows, draw, i, block.width))
+    return "".join(pieces)
 
 
 def _plan_length(i: int, plan: _Plan, ns: str) -> int:
-    return sum(width for _, width, _ in plan.by_player.get(i, ()))
+    return plan.lengths.get(i, 0)
 
 
 def _plan_output(transcript: Transcript, plan: _Plan, ns: str) -> int:
-    pieces = transcript.pieces((player, width) for player, width, _ in plan.slots)
-    return plan.output([int(piece, 2) for piece in pieces])
+    """A repetition sums its pieces mod q, a block takes the plurality of its
+    repetitions, a call sums its blocks mod q, and decide reads the calls."""
+    values = iter([int(piece, 2) for piece in transcript.pieces(plan.pieces)])
+    calls = []
+    for blocks in plan.calls:
+        total = 0
+        for block in blocks:
+            reps = [sum(next(values) for _ in draw) % plan.q for draw in block.draws]
+            total += plurality(reps, plan.q)
+        calls.append(total % plan.q)
+    return plan.decide(calls)
 
 
 # the fixed part of the three specs: simultaneous, public-coin, and every
@@ -180,39 +248,6 @@ def _blocks_and_reps(
     return blocks, smallest_odd_majority(GIP_BASE_ERROR, eps / len(blocks))
 
 
-def _voted_blocks(
-    blocks: Sequence[tuple[int, ...]],
-    reps: int,
-    q: int,
-    rep_slots: Callable[[int, tuple[int, ...], int], list[Slot]],
-) -> tuple[list[Slot], Callable[[Sequence[int]], int]]:
-    """Slots plus value function of the block-and-vote skeleton over Z_q.
-
-    rep_slots(b, block, r) gives the slots of repetition r of block b, called
-    in block-then-repetition order (the order of the tape draws). A
-    repetition's answer is the sum of its slot values mod q, a block's
-    answer the plurality of its repetitions, the value the sum of the block
-    answers mod q.
-    """
-    slots: list[Slot] = []
-    spans: list[list[tuple[int, int]]] = []  # per block, per rep: slot range
-    for b, block in enumerate(blocks):
-        block_spans = []
-        for r in range(reps):
-            start = len(slots)
-            slots.extend(rep_slots(b, block, r))
-            block_spans.append((start, len(slots)))
-        spans.append(block_spans)
-
-    def value(vals: Sequence[int]) -> int:
-        return sum(
-            plurality((sum(vals[a:z]) % q for a, z in block_spans), q)
-            for block_spans in spans
-        ) % q
-
-    return slots, value
-
-
 # ---------------------------------------------------------------------------
 # GIP
 
@@ -240,27 +275,22 @@ def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k
     return cnt
 
 
-def _gip_rows_plan(
+def _gip_blocks(
     row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, ns: str
-) -> tuple[list[Slot], Callable[[Sequence[int]], int]]:
-    """Slots plus value function computing GIP of the given rows, err <= eps."""
+) -> tuple[Block, ...]:
+    """The blocks of one call computing GIP of the given rows, err <= eps:
+    every repetition of a block draws a mask within the block's budget."""
     blocks, reps = _blocks_and_reps(row_ids, k, eps)
-    ells = [active_budget(len(block), k, GIP_BASE_ERROR) for block in blocks]
-    spaces = [binom_leq(k, ell) for ell in ells]
-
-    def rep_slots(b: int, block: tuple[int, ...], r: int) -> list[Slot]:
-        rank = tape.randbelow(mask_label(ns, b, r), spaces[b])
-        zeros = MaskVector.from_rank(k, ells[b], rank).zero_positions
-        slots = []
-        for ordinal, z in enumerate(zeros, start=1):
-            def fn(view, _rows=block, _zeros=zeros, _ord=ordinal, _k=k):
-                masked = [view.masked_row(i) for i in _rows]
-                return str(gip_broadcast_bit(masked, _zeros, _ord, _k))
-
-            slots.append((z, 1, fn))
-        return slots
-
-    return _voted_blocks(blocks, reps, 2, rep_slots)
+    out = []
+    for b, rows in enumerate(blocks):
+        ell = active_budget(len(rows), k, GIP_BASE_ERROR)
+        space = binom_leq(k, ell)
+        draws = []
+        for r in range(reps):
+            rank = tape.randbelow(mask_label(ns, b, r), space)
+            draws.append(MaskVector.from_rank(k, ell, rank).zero_positions)
+        out.append(Block(rows, k, tuple(draws)))
+    return tuple(out)
 
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -286,8 +316,8 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     params = gip_params(n, k, eps)
 
     def plan(tape: RandomTape, ns: str) -> _Plan:
-        slots, value = _gip_rows_plan(tuple(range(n)), k, eps, tape, ns)
-        return _Plan(slots=slots, output=value)
+        blocks = _gip_blocks(range(n), k, eps, tape, ns)
+        return _Plan(calls=(blocks,), q=2, decide=lambda calls: calls[0])
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
 
@@ -307,7 +337,7 @@ def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
 
 
 def gip_base_outcome(x: InputMatrix, mask: MaskVector) -> tuple[int, tuple[int, ...]]:
-    """(output, broadcast bits) of a single unamplified run under ``mask``."""
+    """(output, broadcast bits) of a single base run under ``mask``, unvoted."""
     if mask.k != x.k:
         raise ValueError("mask width must match k")
     zeros = mask.zero_positions
@@ -362,39 +392,24 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     params = disj_params(n, k, eps)
     trials = params["trials"]
 
+    def decide(calls: list[int]) -> int:
+        return int(calls.count(0) >= DISJ_ZERO_THRESHOLD * trials)
+
     def plan(tape: RandomTape, ns: str) -> _Plan:
-        slots: list[Slot] = []
-        finishers: list[tuple[tuple[int, int], Optional[Callable]]] = []
+        calls = []
         for t in range(trials):
             picks = tape.bitvector(subset_label(ns, t), n)
             rows = tuple(i for i in range(n) if picks[i])
-            if not rows:
-                finishers.append(((len(slots), len(slots)), None))  # empty: gip = 0
-                continue
-            sub_slots, sub_value = _gip_rows_plan(
-                rows, k, DISJ_SUBCALL_ERROR, tape, f"{ns}disj/t{t}/"
-            )
-            span = (len(slots), len(slots) + len(sub_slots))
-            slots.extend(sub_slots)
-            finishers.append((span, sub_value))
-
-        def output(vals: list[int]) -> int:
-            zeros = 0
-            for (a, b), value in finishers:
-                ans = 0 if value is None else value(vals[a:b])
-                zeros += 1 if ans == 0 else 0
-            return 1 if zeros >= DISJ_ZERO_THRESHOLD * trials else 0
-
-        return _Plan(slots=slots, output=output)
+            # an empty subset is a call without blocks, whose gip is 0
+            sub_ns = f"{ns}disj/t{t}/"
+            calls.append(_gip_blocks(rows, k, DISJ_SUBCALL_ERROR, tape, sub_ns) if rows else ())
+        return _Plan(calls=tuple(calls), q=2, decide=decide)
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
 
 
 # ---------------------------------------------------------------------------
 # MOD3 of row XORs
-
-
-_GF3_BITS = {0: "00", 1: "01", 2: "10"}
 
 
 def ceil_log2(m: int) -> int:
@@ -487,18 +502,14 @@ def point_label(ns: str, block: int, rep: int) -> str:
     return f"{ns}mod3/b{block}/r{rep}/point"
 
 
-def _effective_row(masked: int, k_eff: int) -> int:
-    """Fold columns k_eff..k of a masked row into the single bit k_eff."""
-    low = (1 << (k_eff - 1)) - 1
-    fold = (masked >> (k_eff - 1)).bit_count() & 1
-    return (masked & low) | (fold << (k_eff - 1))
-
-
 def fold_rows(rows: Sequence[int], k_eff: int) -> tuple[int, ...]:
-    """Fold full (unmasked) rows down to k_eff columns. The folded row keeps
-    the overall parity, so the parity-polynomial identity still applies; the
-    per-input error oracle measures collisions in the folded space."""
-    return tuple(_effective_row(r, k_eff) for r in rows)
+    """Fold columns k_eff..k of each row into the single bit k_eff. The
+    folded row keeps the overall parity, so the parity-polynomial identity
+    still applies; the per-input error oracle measures collisions in the
+    folded space, and a player folds its masked rows."""
+    top = k_eff - 1
+    low = (1 << top) - 1
+    return tuple((r & low) | (((r >> top).bit_count() & 1) << top) for r in rows)
 
 
 def mod3_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -548,24 +559,6 @@ def mod3_message_tables(point: int, k_eff: int) -> dict[int, list[int]]:
     return tables
 
 
-def _mod3_message(
-    rows: Sequence[int], table: Sequence[int], player: int, k_eff: int
-) -> Callable[[View], str]:
-    """Player ``player``'s two-bit GF(3) message for one block and point:
-    one table lookup per block row that holds columns 1..player-1."""
-    need = (1 << (player - 1)) - 1
-
-    def fn(view: View) -> str:
-        total = 0
-        for ri in rows:
-            eff = _effective_row(view.masked_row(ri), k_eff)
-            if eff & need == need:
-                total += table[eff >> player]
-        return _GF3_BITS[total % 3]
-
-    return fn
-
-
 def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     """Randomized simultaneous protocol for [sum of row XORs divisible by 3].
 
@@ -585,13 +578,13 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     k_effs = params["k_effs"]
 
     def plan(tape: RandomTape, ns: str) -> _Plan:
-        def rep_slots(b: int, block: tuple[int, ...], r: int) -> list[Slot]:
-            k_eff = k_effs[b]
-            point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
-            tables = mod3_message_tables(point, k_eff)
-            return [(i, 2, _mod3_message(block, tables[i], i, k_eff)) for i in range(1, k_eff + 1)]
-
-        slots, value = _voted_blocks(blocks, reps, 3, rep_slots)
-        return _Plan(slots=slots, output=lambda vals: int(value(vals) == 0))
+        out = []
+        for b, (rows, k_eff) in enumerate(zip(blocks, k_effs)):
+            draws = []
+            for r in range(reps):
+                point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
+                draws.append(mod3_message_tables(point, k_eff))
+            out.append(Block(rows, k_eff, tuple(draws)))
+        return _Plan(calls=(tuple(out),), q=3, decide=lambda calls: int(calls[0] == 0))
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])

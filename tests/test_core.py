@@ -5,7 +5,6 @@ from nofkit.core import (
     ProtocolSpec,
     Transcript,
     all_ones_cylinder,
-    amplify,
     decompose_to_cylinders,
     plurality,
     run,
@@ -153,57 +152,6 @@ def test_transcript_pieces_cut_each_player_in_declared_order():
     assert t.pieces([(2, 1), (1, 3), (2, 0), (2, 2), (1, 1)]) == ["0", "101", "", "11", "1"]
     with pytest.raises(ValueError, match="shorter"):
         t.pieces([(2, 2), (2, 2)])
-
-
-def test_amplify_requires_odd_t_and_length_rule():
-    with pytest.raises(ValueError):
-        amplify(and_protocol(), 2)
-    lame = ProtocolSpec(
-        n=1, k=1, simultaneous=True, deterministic=True,
-        message_rule=lambda i, v, pre, t, ns: "",
-        output_rule=lambda tr, t, ns: 0,
-    )
-    with pytest.raises(ValueError):
-        amplify(lame, 3)
-
-
-def test_amplify_t1_is_identity():
-    p = and_protocol()
-    assert amplify(p, 1) is p
-
-
-def test_amplify_splits_concatenated_messages_correctly():
-    p = amplify(and_protocol(), 5)
-    assert p.cost_ceiling == 10
-    for code in range(4):
-        x = InputMatrix.from_code(1, 2, code)
-        out = run(p, x, RandomTape(3))
-        assert out.output == (1 if code == 3 else 0)
-        assert out.cost_bits == 10
-
-
-def test_amplify_majority_hits_exact_tail():
-    # base error exactly 1/3; 3 reps -> majority wrong w.p. 7/27
-    p = amplify(noisy_and_protocol(1, 3), 3)
-    master = RandomTape(17)
-    trials = 3000
-    wrong = 0
-    x = M([1, 1])
-    for t in range(trials):
-        wrong += run(p, x, master.sub(f"t{t}")).output == 0
-    rate = wrong / trials
-    assert abs(rate - 7 / 27) < 0.03
-
-
-def test_amplify_error_decreases_with_reps():
-    master = RandomTape(23)
-    x = M([1, 1])
-    rates = []
-    for t in (1, 5, 11):
-        p = amplify(noisy_and_protocol(1, 3), t)
-        wrong = sum(run(p, x, master.sub(f"{t}/{i}")).output == 0 for i in range(800))
-        rates.append(wrong / 800)
-    assert rates[0] > rates[1] > rates[2]
 
 
 def test_plurality_is_majority_for_odd_binary_votes():

@@ -25,6 +25,7 @@ from nofkit.harness import (
     report_to_csv_row,
     report_to_json,
     simulate,
+    single_run_width,
     structural_ell,
     sweep,
     verify,
@@ -171,6 +172,34 @@ def test_exact_y_mode_cross_checks_oracle():
     row = report_to_csv_row(r)
     assert ",,," not in CSV_HEADER  # header itself has no holes
     assert row.split(",")[6] == "" and row.split(",")[7] == ""
+
+
+def test_exact_y_evaluates_the_oracle_once_per_input(monkeypatch):
+    # the collision measure is checked against the trial's own oracle value
+    real = harness.exact_gip_error
+    calls = []
+
+    def counted(x, ell):
+        calls.append(x)
+        return real(x, ell)
+
+    cfg = ExperimentConfig(protocol="gip", n=2, k=3, source="exhaustive",
+                           trials=64, seed=0, exact_y=True)
+    monkeypatch.setattr(harness, "exact_gip_error", counted)
+    assert simulate(cfg)["exact_oracle_checked"] is True
+    assert len(calls) == 64
+    monkeypatch.setattr(harness, "exact_gip_error", lambda x, ell: real(x, ell) + Fraction(1, 7))
+    assert simulate(cfg)["exact_oracle_checked"] is False
+
+
+def test_single_run_width_is_the_one_base_run_or_none():
+    third = Fraction(1, 3)
+    assert single_run_width("gip", 4, 8, third) == 2
+    assert single_run_width("mod3", 4, 8, third) == 4
+    # 3 one-row blocks x 13 repetitions at n=3 k=2
+    assert single_run_width("gip", 3, 2, third) is None
+    assert single_run_width("mod3", 3, 2, third) is None
+    assert single_run_width("disj", 2, 3, third) is None
 
 
 def test_exact_y_requires_single_block_regime():

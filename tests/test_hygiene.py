@@ -9,14 +9,22 @@ node anywhere in its module, or when the module's ``__all__`` re-exports it;
 private (leading underscore) module-level function, class or assignment
 counts as read when some package module loads it by name, reads it as an
 attribute, or imports it.
+
+The benchmark's traced run wraps package functions by name, so every
+(module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
+SITES and BUILDERS) names must resolve in the package. That table is read
+with ``ast``, never imported or edited.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nofkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nofkit"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def unread_imports(source: str) -> list[str]:
@@ -104,3 +112,42 @@ def test_private_scan_flags_a_helper_nothing_reads():
 def test_every_private_definition_is_read_in_the_package():
     sources = [module.read_text() for module in sorted(PACKAGE.glob("*.py"))]
     assert unread_privates(sources) == []
+
+
+def traced_attributes(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of every FUNCTIONS, SITES and BUILDERS entry of a
+    span table; BUILDERS are the protocol factories, looked up in
+    ``nofkit.protocols``."""
+    tables = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "SITES", "BUILDERS"):
+                tables[target.id] = ast.literal_eval(node.value)
+    pairs = [(module, attr) for _, module, attr in tables["FUNCTIONS"] + tables["SITES"]]
+    return pairs + [("nofkit.protocols", attr) for attr in tables["BUILDERS"]]
+
+
+def unresolved(pairs: list[tuple[str, str]]) -> list[str]:
+    """The dotted names among ``pairs`` whose attribute path does not resolve."""
+    missing = []
+    for module, attr in pairs:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{module}.{attr}")
+                break
+    return missing
+
+
+def test_resolution_names_each_missing_attribute():
+    pairs = [("nofkit.core", "run"), ("nofkit.core", "no_such_function"),
+             ("nofkit.tape", "RandomTape.sub"), ("nofkit.tape", "RandomTape.nope")]
+    assert unresolved(pairs) == ["nofkit.core.no_such_function", "nofkit.tape.RandomTape.nope"]
+
+
+def test_every_traced_attribute_resolves_in_the_package():
+    pairs = traced_attributes(SPANS.read_text())
+    assert len(pairs) > 40
+    assert unresolved(pairs) == []

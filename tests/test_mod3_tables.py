@@ -1,4 +1,4 @@
-"""Table-driven mod3 messages against the slow expansion and closures they
+"""Table-driven mod3 pieces against the slow expansion and closures they
 replace.
 
 The references below are the earlier implementation kept as oracles: the
@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from nofkit.core import run
 from nofkit.matrices import InputMatrix, View
 from nofkit.protocols import (
-    _mod3_message,
     _partition_rows,
+    block_piece,
     expand_parity_poly,
+    fold_rows,
     mod3_message_tables,
     mod3_params,
     mod3_protocol,
@@ -72,6 +73,13 @@ def reference_message(view, rows, items, k_eff):
     return _GF3_BITS[total % 3]
 
 
+def piece(view, rows, tables, player, k_eff):
+    """The protocol's piece for one block and point: the block's rows as the
+    player sees them, folded to k_eff, through the per-block evaluator."""
+    folded = fold_rows([view.masked_row(r) for r in rows], k_eff)
+    return block_piece(3, folded, tables, player, k_eff)
+
+
 def test_closed_form_coefficients_match_multiply_out():
     for k in range(0, 9):
         for u in range(1 << k):
@@ -111,16 +119,17 @@ def test_messages_match_reference_exhaustively_at_small_shapes():
                 for u in range(1 << k_eff):
                     tables = mod3_message_tables(u, k_eff)
                     items = reference_items(u, k_eff)
-                    fns = {i: _mod3_message(rows, tables[i], i, k_eff) for i in tables}
                     for cells in product(range(1 << k), repeat=n):
                         x = InputMatrix(k=k, rows=cells)
-                        for i, fn in fns.items():
+                        for i in tables:
                             view = View(x, i)
-                            assert fn(view) == reference_message(view, rows, items[i], k_eff)
+                            assert piece(view, rows, tables, i, k_eff) == reference_message(
+                                view, rows, items[i], k_eff
+                            )
 
 
 def reference_player_message(n, k, x, tape, player):
-    """Player's whole message, rebuilt slot by slot from the reference
+    """Player's whole message, rebuilt piece by piece from the reference
     closures and the protocol's own point draws."""
     params = mod3_params(n, k)
     view = View(x, player)
@@ -167,8 +176,8 @@ def test_message_matches_reference_property(case):
     x = InputMatrix(k=k, rows=cells)
     view = View(x, player)
     rows = tuple(range(len(cells)))
-    table = mod3_message_tables(point, k_eff)[player]
+    tables = mod3_message_tables(point, k_eff)
     items = reference_items(point, k_eff)[player]
-    assert _mod3_message(rows, table, player, k_eff)(view) == reference_message(
+    assert piece(view, rows, tables, player, k_eff) == reference_message(
         view, rows, items, k_eff
     )

@@ -2,9 +2,12 @@
 thing its rules read.
 
 The references here rebuild the plan for every rule call, which is only
-sound because building a plan is pure in (tape, ns).
+sound because building a plan is pure in (tape, ns), or rebuild gip and
+disj runs from the protocol's own draws and the single-run reference
+``gip_base_outcome``.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -12,9 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nofkit.core import Transcript, amplify, plurality, run
-from nofkit.matrices import InputMatrix, player_view
-from nofkit.protocols import disj_protocol, gip_protocol, mod3_protocol
+from nofkit.combinatorics import binom_leq
+from nofkit.core import Transcript, plurality, run
+from nofkit.matrices import InputMatrix, View, player_view
+from nofkit.protocols import (
+    DEFAULT_ERROR,
+    DISJ_SUBCALL_ERROR,
+    DISJ_ZERO_THRESHOLD,
+    InfeasibleParameters,
+    MaskVector,
+    _partition_rows,
+    disj_params,
+    disj_protocol,
+    gip_base_outcome,
+    gip_params,
+    gip_protocol,
+    mask_label,
+    mod3_protocol,
+    subset_label,
+)
 from nofkit.tape import RandomTape
 
 BUILDS = {"gip": gip_protocol, "disj": disj_protocol, "mod3": mod3_protocol}
@@ -80,17 +99,98 @@ def test_run_equals_a_run_that_rebuilds_the_plan_per_rule_call(shape, seed, inpu
     assert (out.transcript.entries, out.output) == rebuilt_plan_run(p, x, tape)
 
 
-@pytest.mark.parametrize("name, n, k", [("gip", 3, 2), ("disj", 4, 3), ("mod3", 6, 4)])
-def test_amplified_plan_protocol_is_three_base_runs_and_their_majority(name, n, k):
-    base = spec(name, n, k)
-    amplified = amplify(base, 3)
-    rng = np.random.default_rng(5)
-    for t in range(6):
-        x = random_input(rng, n, k)
-        tape = RandomTape(master_seed=1000 + t)
-        reps = [run(base, x, tape, ns=f"rep{r}/") for r in range(3)]
-        said = {i: "".join(dict(o.transcript.entries).get(i, "") for o in reps)
-                for i in range(1, k + 1)}
-        out = run(amplified, x, tape)
-        assert out.transcript.entries == tuple((i, b) for i, b in said.items() if b)
-        assert out.output == plurality([o.output for o in reps], 2)
+def reference_gip_call(x, tape, row_ids, eps, ns):
+    """(bits per player, value) of one gip call on the given rows: every
+    block's repetitions redraw the protocol's masks from the tape and run
+    gip_base_outcome on the block's rows; the blocks XOR their majorities."""
+    k = x.k
+    params = gip_params(len(row_ids), k, eps)
+    said = dict.fromkeys(range(1, k + 1), "")
+    value = 0
+    for b, (block, ell) in enumerate(zip(_partition_rows(row_ids, k), params["ells"])):
+        sub = InputMatrix(k=k, rows=tuple(x.rows[r] for r in block))
+        outputs = []
+        for r in range(params["reps"][b]):
+            rank = tape.randbelow(mask_label(ns, b, r), binom_leq(k, ell))
+            mask = MaskVector.from_rank(k, ell, rank)
+            out, bits = gip_base_outcome(sub, mask)
+            for z, bit in zip(mask.zero_positions, bits):
+                said[z] += str(bit)
+            outputs.append(out)
+        value ^= plurality(outputs, 2)
+    return said, value
+
+
+def reference_run(name, x, tape):
+    """(bits per player, output) of a gip or disj run, call by call."""
+    n, k = x.n, x.k
+    if name == "gip":
+        return reference_gip_call(x, tape, range(n), DEFAULT_ERROR, "")
+    said = dict.fromkeys(range(1, k + 1), "")
+    trials = disj_params(n, k)["trials"]
+    zeros = 0
+    for t in range(trials):
+        picks = tape.bitvector(subset_label("", t), n)
+        rows = tuple(i for i in range(n) if picks[i])
+        value = 0
+        if rows:
+            sub_said, value = reference_gip_call(x, tape, rows, DISJ_SUBCALL_ERROR, f"disj/t{t}/")
+            for i, bits in sub_said.items():
+                said[i] += bits
+        zeros += value == 0
+    return said, int(zeros >= DISJ_ZERO_THRESHOLD * trials)
+
+
+def assert_matches_reference(name, x, tape):
+    out = run(spec(name, x.n, x.k), x, tape)
+    said, output = reference_run(name, x, tape)
+    assert out.transcript.entries == tuple((i, bits) for i, bits in said.items() if bits)
+    assert out.output == output
+
+
+@pytest.mark.parametrize("name, n, k, runs", [("gip", 16, 4, 8), ("gip", 40, 16, 4),
+                                               ("disj", 16, 16, 3), ("disj", 8, 3, 8)])
+def test_gip_and_disj_pieces_match_the_reference_on_seeded_samples(name, n, k, runs):
+    rng = np.random.default_rng(43)
+    master = RandomTape(master_seed=11)
+    for t in range(runs):
+        assert_matches_reference(name, random_input(rng, n, k), master.sub(f"{name}{n}x{k}/{t}"))
+
+
+def feasible(name, n, k):
+    try:
+        spec(name, n, k)
+    except InfeasibleParameters:
+        return False
+    return True
+
+
+TINY = [(name, n, k) for name in ("gip", "disj") for n in range(1, 13) for k in range(1, 13)
+        if n * k <= 12 and feasible(name, n, k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TINY), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_gip_and_disj_pieces_match_the_reference_property(shape, seed, input_seed):
+    name, n, k = shape
+    x = random_input(np.random.default_rng(input_seed), n, k)
+    assert_matches_reference(name, x, RandomTape(master_seed=seed))
+
+
+@pytest.mark.parametrize("name, n, k", [("gip", 16, 4), ("gip", 40, 16), ("mod3", 128, 8),
+                                         ("mod3", 6, 4), ("disj", 16, 16), ("disj", 8, 3)])
+def test_a_run_reads_each_view_row_at_most_once_per_call(name, n, k, monkeypatch):
+    p = spec(name, n, k)
+    x = random_input(np.random.default_rng(n * k), n, k)
+    reads = Counter()
+    real = View.masked_row
+
+    def counted(self, row):
+        reads[self.player, row] += 1
+        return real(self, row)
+
+    monkeypatch.setattr(View, "masked_row", counted)
+    run(p, x, RandomTape(master_seed=5))
+    calls = disj_params(n, k)["trials"] if name == "disj" else 1
+    assert max(reads.values()) <= calls
+    assert sum(reads.values()) <= n * k * calls
