@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,7 +210,11 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call. No argument carries state
+    from one parse to the next: every default is immutable, and each parse
+    fills a fresh namespace."""
     top = argparse.ArgumentParser(prog="nofkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -14,12 +14,17 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 parity bit, and the XOR of the broadcasts telescopes to the
                 all-ones row count mod 2 unless some input row equals the
                 mask. Rows are split into blocks when 2^k < 3n, and every
-                block is repeated for a majority vote.
+                block is repeated for a majority vote. A speaker's bit is
+                the multiplicity mod 2 of one pattern among its masked block
+                rows, so the plan holds each speaker's pattern
+                (``gip_patterns``) and a bit is one set-membership test.
 
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
                 disjoint and 1/2 otherwise; declares disjoint when at least
-                3/4 of the subcalls answer zero.
+                3/4 of the subcalls answer zero. A subcall's block layout
+                depends on its row count alone and is computed once per
+                count.
 
 mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
                 GF(3) sum of a degree-(k-1) polynomial that agrees with XOR
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import ceil, log
-from typing import Callable, Sequence, Union
+from typing import Callable, Collection, Sequence, Union
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript, plurality
@@ -119,23 +124,28 @@ def enumerate_masks(k: int, ell: int):
 # ---------------------------------------------------------------------------
 # plan machinery
 
-Draw = Union[tuple[int, ...], dict[int, list[int]]]
+Share = Union[int, list[int]]  # gip: the speaker's pattern; mod3: its GF(3) table
+Draw = dict[int, Share]
 
 
 @dataclass
 class Block:
     """One row block of a voted call: its row ids, the width its rows are read
     at (k for gip, the folded k_eff for mod3) and one shared draw per
-    repetition. A draw is keyed by its speakers: gip's mask zero positions,
-    or mod3's GF(3) tables per player (``mod3_message_tables``)."""
+    repetition. A draw maps each of its speakers, in speaking order, to that
+    speaker's share: gip's pattern (``gip_patterns``), or mod3's GF(3) table
+    (``mod3_message_tables``)."""
 
     rows: tuple[int, ...]
     width: int
     draws: tuple[Draw, ...]
-    speakers: frozenset[int] = field(init=False)  # who speaks in some repetition
+    shares: dict[int, list[Share]] = field(init=False)  # per speaker, in repetition order
 
     def __post_init__(self):
-        self.speakers = frozenset().union(*self.draws)
+        self.shares = {}
+        for draw in self.draws:
+            for i, share in draw.items():
+                self.shares.setdefault(i, []).append(share)
 
 
 @dataclass
@@ -166,34 +176,48 @@ class _Plan:
             self.lengths[i] = self.lengths.get(i, 0) + width
 
 
-def block_piece(q: int, rows: Sequence[int], draw: Draw, player: int, width: int) -> str:
-    """A speaker's piece for one repetition of a block, from the block's rows
-    as the player sees them (masked, and folded to ``width``): for q = 2 the
-    gip broadcast bit under the mask with zero positions ``draw``; for q = 3
-    the two-bit GF(3) sum of one lookup in the player's table per row that
-    holds columns 1..player-1."""
+def odd_rows(rows: list[int]) -> set[int]:
+    """The row values that occur an odd number of times."""
+    odd = set(rows)
+    if len(odd) < len(rows):
+        odd = {r for r in odd if rows.count(r) & 1}
+    return odd
+
+
+def block_piece(q: int, rows: Collection[int], share: Share, player: int) -> str:
+    """A speaker's piece for one repetition of a block. For q = 2, ``rows``
+    is ``odd_rows`` of the block's masked rows and the piece is the gip
+    broadcast bit: whether the speaker's pattern is among them. For q = 3,
+    ``rows`` are the masked rows folded to the block's width, and the piece
+    is the two-bit GF(3) sum of one lookup in the speaker's table per row
+    that holds columns 1..player-1."""
     if q == 2:
-        return str(gip_broadcast_bit(rows, draw, draw.index(player) + 1, width))
-    table = draw[player]
+        return "1" if share in rows else "0"
     need = (1 << (player - 1)) - 1
-    total = sum(table[eff >> player] for eff in rows if eff & need == need)
+    total = sum(share[eff >> player] for eff in rows if eff & need == need)
     return format(total % 3, "02b")
 
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan, ns: str) -> str:
-    """Player i's pieces in (call, block, repetition) order. It masks, and
-    folds, a block's rows once, and only for blocks it speaks in."""
+    """Player i's pieces in (call, block, repetition) order. It masks its
+    rows once per run, when it first speaks, and per block it speaks in
+    builds what ``block_piece`` reads once: the odd rows for gip, the
+    folded rows for mod3."""
+    masked = None
     pieces = []
     for blocks in plan.calls:
         for block in blocks:
-            if i not in block.speakers:
+            shares = block.shares.get(i)
+            if shares is None:
                 continue
-            rows = [view.masked_row(r) for r in block.rows]
-            if block.width < view.k:
+            if masked is None:
+                masked = [view.masked_row(r) for r in range(view.n)]
+            rows = [masked[r] for r in block.rows]
+            if plan.q == 2:
+                rows = odd_rows(rows)
+            elif block.width < view.k:
                 rows = fold_rows(rows, block.width)
-            for draw in block.draws:
-                if i in draw:
-                    pieces.append(block_piece(plan.q, rows, draw, i, block.width))
+            pieces.extend(block_piece(plan.q, rows, share, i) for share in shares)
     return "".join(pieces)
 
 
@@ -275,21 +299,49 @@ def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k
     return cnt
 
 
+@lru_cache(maxsize=1024)
+def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
+    """The speakers of the mask of this rank, in zero-position order, each
+    with the one masked row its broadcast bit counts. A masked row passes
+    ``gip_broadcast_bit``'s test iff it is 0 on the earlier zero positions
+    and on the speaker's own column and 1 everywhere else, so the bit is the
+    multiplicity mod 2 of that one pattern: the all-ones row with the zero
+    positions up to the speaker's own cleared. The memo hands every caller
+    the same dict, which nothing writes to."""
+    pattern = (1 << k) - 1
+    patterns = {}
+    for z in MaskVector.from_rank(k, ell, rank).zero_positions:
+        pattern &= ~(1 << (z - 1))
+        patterns[z] = pattern
+    return patterns
+
+
+@lru_cache(maxsize=256)
+def _gip_layout(
+    n: int, k: int, eps: Fraction
+) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+    """What the row count alone fixes of a gip call on n rows: per block its
+    (start, stop) offsets, zero budget ell and mask-space size, and the
+    repetitions every block runs."""
+    blocks, reps = _blocks_and_reps(range(n), k, eps)
+    layout = []
+    for rows in blocks:
+        ell = active_budget(len(rows), k, GIP_BASE_ERROR)
+        layout.append((rows[0], rows[-1] + 1, ell, binom_leq(k, ell)))
+    return tuple(layout), reps
+
+
 def _gip_blocks(
     row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, ns: str
 ) -> tuple[Block, ...]:
     """The blocks of one call computing GIP of the given rows, err <= eps:
     every repetition of a block draws a mask within the block's budget."""
-    blocks, reps = _blocks_and_reps(row_ids, k, eps)
+    layout, reps = _gip_layout(len(row_ids), k, eps)
     out = []
-    for b, rows in enumerate(blocks):
-        ell = active_budget(len(rows), k, GIP_BASE_ERROR)
-        space = binom_leq(k, ell)
-        draws = []
-        for r in range(reps):
-            rank = tape.randbelow(mask_label(ns, b, r), space)
-            draws.append(MaskVector.from_rank(k, ell, rank).zero_positions)
-        out.append(Block(rows, k, tuple(draws)))
+    for b, (start, stop, ell, space) in enumerate(layout):
+        ranks = [tape.randbelow(mask_label(ns, b, r), space) for r in range(reps)]
+        draws = tuple(gip_patterns(k, ell, rank) for rank in ranks)
+        out.append(Block(tuple(row_ids[start:stop]), k, draws))
     return tuple(out)
 
 
@@ -300,12 +352,12 @@ def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
         raise ValueError("need 0 < eps < 1")
     if (1 << k) < n:
         raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    blocks, reps = _blocks_and_reps(range(n), k, eps)
-    ells = [active_budget(len(b), k, GIP_BASE_ERROR) for b in blocks]
+    layout, reps = _gip_layout(n, k, eps)
+    ells = [ell for _, _, ell, _ in layout]
     return {
-        "blocks": [len(b) for b in blocks],
+        "blocks": [stop - start for start, stop, _, _ in layout],
         "ells": ells,
-        "reps": [reps] * len(blocks),
+        "reps": [reps] * len(layout),
         "cost_ceiling": reps * sum(ells),
     }
 

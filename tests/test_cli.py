@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -398,3 +400,21 @@ def test_verify_and_disc_keep_seed(tmp_path):
     code, payload = run_json(["disc", "--fn", "gip", "--n", "1", "--k", "2",
                               "--mode", "heuristic", "--seed", "3"], tmp_path, "d.json")
     assert code == 0 and payload["mode"] == "heuristic"
+
+
+def test_a_main_call_leaves_no_parser_garbage(tmp_path):
+    # the parser is built once; a call that rebuilt it would leave its
+    # groups, actions and formatter cycles to the cyclic collector
+    argv = ["simulate", "--protocol", "gip", "--n", "4", "--k", "4", "--trials", "2",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (argparse.ArgumentParser, argparse.HelpFormatter))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

@@ -77,7 +77,7 @@ def piece(view, rows, tables, player, k_eff):
     """The protocol's piece for one block and point: the block's rows as the
     player sees them, folded to k_eff, through the per-block evaluator."""
     folded = fold_rows([view.masked_row(r) for r in rows], k_eff)
-    return block_piece(3, folded, tables, player, k_eff)
+    return block_piece(3, folded, tables[player], player)
 
 
 def test_closed_form_coefficients_match_multiply_out():

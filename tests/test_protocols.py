@@ -10,7 +10,9 @@ from nofkit.matrices import InputMatrix
 from nofkit.protocols import (
     InfeasibleParameters,
     MaskVector,
+    _gip_layout,
     active_budget,
+    block_piece,
     ceil_log2,
     disj_params,
     disj_protocol,
@@ -20,12 +22,15 @@ from nofkit.protocols import (
     expand_parity_poly,
     fold_rows,
     gip_base_outcome,
+    gip_broadcast_bit,
     gip_params,
+    gip_patterns,
     gip_protocol,
     mod3_base_value,
     mod3_params,
     mod3_protocol,
     monomial_partition,
+    odd_rows,
     parity_poly_eval,
 )
 from nofkit.tape import RandomTape
@@ -140,6 +145,66 @@ def test_gip_base_wrong_only_on_odd_collisions():
             mult = sum(1 for r in x.rows if r == mask.bits)
             if mult % 2 == 0:
                 assert out == truth
+
+
+def test_lookup_piece_equals_the_broadcast_scan_exhaustively():
+    # every mask, every speaker and every input with n*k <= 9: the pattern's
+    # membership in the odd masked rows is the scanned broadcast bit
+    for n in range(1, 10):
+        for k in range(1, 9 // n + 1):
+            masks = [(m.zero_positions, gip_patterns(k, k, rank))
+                     for rank, m in enumerate(enumerate_masks(k, k))]
+            for code in range(1 << (n * k)):
+                rows = InputMatrix.from_code(n, k, code).rows
+                for z in range(1, k + 1):
+                    masked = [r & ~(1 << (z - 1)) for r in rows]
+                    odd = odd_rows(masked)
+                    for zeros, patterns in masks:
+                        if z in zeros:
+                            want = gip_broadcast_bit(masked, zeros, zeros.index(z) + 1, k)
+                            assert block_piece(2, odd, patterns[z], z) == str(want), (code, zeros, z)
+
+
+def test_odd_rows_keeps_the_values_of_odd_multiplicity():
+    assert odd_rows([]) == set()
+    assert odd_rows([5, 3, 5, 7, 3, 3]) == {3, 7}
+    assert odd_rows([1, 2, 4]) == {1, 2, 4}
+
+
+def test_gip_patterns_match_the_mask_zero_positions():
+    # speaker z_j counts the row that is 0 exactly on zero positions z_1..z_j
+    for k in range(1, 11):
+        full = range(1, k + 1)
+        for ell in range(k + 1):
+            for rank in range(binom_leq(k, ell)):
+                zeros = MaskVector.from_rank(k, ell, rank).zero_positions
+                want = [(z, sum(1 << (c - 1) for c in full if c not in zeros[: j + 1]))
+                        for j, z in enumerate(zeros)]
+                assert list(gip_patterns(k, ell, rank).items()) == want, (k, ell, rank)
+
+
+def test_the_mask_and_layout_memos_are_bounded():
+    for memo in (gip_patterns, _gip_layout):
+        assert memo.cache_info().maxsize is not None
+
+
+def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
+    # 256 x 256 draws from 32,897 masks; no table of the mask space is built
+    p = gip_protocol(256, 256)
+    unranked = []
+    real = MaskVector.from_rank.__func__
+
+    def counted(cls, k, ell, rank):
+        unranked.append((k, ell, rank))
+        return real(cls, k, ell, rank)
+
+    monkeypatch.setattr(MaskVector, "from_rank", classmethod(counted))
+    gip_patterns.cache_clear()
+    plan = p.plan(RandomTape(3), "")
+    draws = sum(len(block.draws) for blocks in plan.calls for block in blocks)
+    assert binom_leq(256, 2) == 32897
+    assert 1 <= len(unranked) <= draws
+    assert gip_patterns.cache_info().currsize <= draws
 
 
 def test_gip_params_regimes():
