@@ -41,13 +41,16 @@ def band_size(k: int, jmin: int, jmax: int) -> int:
 
 
 def binom_sandwich_ok(n: int, k: int) -> bool:
-    """(n/k)^k <= binom_leq(n,k) <= (e*n/k)^k, checked in exact rationals."""
+    """(n/k)^k <= binom_leq(n,k) <= (e*n/k)^k, checked exactly.
+
+    Both sides are cleared of denominators, k^k and (den*k)^k where
+    E_LOWER = num/den, so the comparison is between integers.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     c = binom_leq(n, k)
-    lower = Fraction(n, k) ** k
-    upper = (E_LOWER * n / k) ** k
-    return lower <= c <= upper
+    num, den = E_LOWER.as_integer_ratio()
+    return n**k <= c * k**k and c * (den * k) ** k <= (num * n) ** k
 
 
 def majority_tail(t: int, p: Rational) -> Fraction:
@@ -100,18 +103,22 @@ def fact21_check(n: int, p: float, tol: float = 1e-12) -> dict:
     if not 0.0 <= p <= 1.0:
         raise ValueError("need 0 <= p <= 1")
 
+    q = 1.0 - p
+
     def pmf(m: int, s: int) -> float:
-        return comb(m, s) * p**s * (1.0 - p) ** (m - s)
+        return comb(m, s) * p**s * q ** (m - s)
 
-    lhs1 = sum(pmf(n - 1, s) / sqrt(n - s) for s in range(n))
-    rhs1 = 1.0 / sqrt((1.0 - p) * n) if p < 1.0 else float("inf")
+    # B(n-1, p) feeds the first two sums; one row serves both
+    row = [pmf(n - 1, s) for s in range(n)]
+    lhs1 = sum(w / sqrt(n - s) for s, w in enumerate(row))
+    rhs1 = 1.0 / sqrt(q * n) if p < 1.0 else float("inf")
 
-    lhs2 = sum(pmf(n - 1, s) / sqrt(s + 1) for s in range(n))
+    lhs2 = sum(w / sqrt(s + 1) for s, w in enumerate(row))
     rhs2 = 1.0 / sqrt(p * n) if p > 0.0 else float("inf")
 
     mean = p * n
     lhs3 = sum(pmf(n, s) * abs(s - mean) for s in range(n + 1))
-    rhs3 = sqrt(p * (1.0 - p) * n)
+    rhs3 = sqrt(p * q * n)
 
     rows = [
         ("inv_sqrt_remaining", lhs1, rhs1),

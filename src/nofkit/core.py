@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from .matrices import InputMatrix, View, player_view
+from .matrices import InputMatrix, View, all_inputs, player_view
 from .tape import RandomTape
 
 TranscriptEntry = tuple[int, str]
@@ -185,8 +185,7 @@ def decompose_to_cylinders(
     if not p.deterministic:
         raise ValueError("decomposition needs a deterministic protocol")
     n, k = p.n, p.k
-    domain_size = 1 << (n * k)
-    if domain_size > cap:
+    if 1 << (n * k) > cap:
         raise ValueError(f"domain 2^{n * k} exceeds cap {cap}")
 
     tape = RandomTape(0)  # deterministic protocols never touch it
@@ -197,8 +196,7 @@ def decompose_to_cylinders(
     # column of its input is all zeros
     shown: dict[int, dict[int, View]] = {i: {} for i in range(1, k + 1)}
     view_idx: list[tuple[int, ...]] = []  # per input, every player's view index
-    for code in range(domain_size):
-        x = InputMatrix.from_code(n, k, code)
+    for code, x in enumerate(all_inputs(n, k)):
         views = [player_view(x, i) for i in shown]
         view_idx.append(tuple(v.encode() for v in views))
         for i, v, idx in zip(shown, views, view_idx[-1]):

@@ -38,7 +38,7 @@ from .functions import (
     mod3xor_spec,
     xor_of_disj_spec,
 )
-from .matrices import InputMatrix, player_view
+from .matrices import InputMatrix, all_inputs, player_view
 from .tape import RandomTape
 
 DEFAULT_DISC_CAP = 1 << 20
@@ -124,8 +124,7 @@ def _signed_items(q: CorrelationQuery) -> list[tuple[InputMatrix, object]]:
     if hasattr(weight, "pmf"):
         if (weight.n, weight.k) != (n, k):
             raise ValueError("weight shape does not match the target")
-        for code in range(1 << (n * k)):
-            x = InputMatrix.from_code(n, k, code)
+        for x in all_inputs(n, k):
             w = weight.pmf(x)
             if w:
                 items.append((x, signed(x, w)))
@@ -356,8 +355,8 @@ def _stacked(block: DistributionSpec, m: int) -> dict[int, Fraction]:
     copy b holds rows [b n, (b+1) n), so its code sits at bit b n k."""
     width = block.n * block.k
     support = {}
-    for code in range(1 << width):
-        w = block.pmf(InputMatrix.from_code(block.n, block.k, code))
+    for code, x in enumerate(all_inputs(block.n, block.k)):
+        w = block.pmf(x)
         if w:
             support[code] = w
     out = {0: Fraction(1)}

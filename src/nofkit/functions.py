@@ -36,8 +36,7 @@ Value = Union[int, _Undefined]
 
 
 def _all_ones_rows(x: InputMatrix) -> int:
-    full = (1 << x.k) - 1
-    return sum(1 for r in x.rows if r == full)
+    return x.rows.count((1 << x.k) - 1)
 
 
 def eval_gip(x: InputMatrix) -> int:

@@ -37,7 +37,7 @@ from .functions import (
     eval_mod3xor,
     eval_udisj,
 )
-from .matrices import InputMatrix, parse_matrix
+from .matrices import InputMatrix, all_inputs, parse_matrix
 from .protocols import (
     DISJ_SUBCALL_ERROR,
     InfeasibleParameters,
@@ -390,42 +390,45 @@ def _suite_facts() -> list[dict]:
 def _identity_cell(m: int, n: int, k: int) -> bool:
     """Exhaustively check the three block-composition identities at (m, n, k).
 
-    The bulk pass is vectorized: the composed side combines per-block value
-    tables built by the library evaluators, the stacked side recounts
-    all-ones rows directly off the codes. A deterministic sample then runs
-    the pure-Python eval_composed / eval_* pair end to end.
+    The bulk pass is vectorized. The library evaluators run once on every
+    n x k block, streamed in code order from all_inputs, into int8 value
+    tables. The composed side reads each block's slice of the m-block codes
+    in turn, folding XOR, AND and UAND (an undefined flag and a zero count)
+    block by block; the stacked side recounts all-ones rows directly off the
+    codes. A deterministic sample then runs the pure-Python eval_composed /
+    eval_* pair end to end.
     """
     nk = n * k
     space = 1 << nk
-    gip_v = np.empty(space, dtype=np.int64)
-    disj_v = np.empty(space, dtype=np.int64)
-    udisj_v = np.empty(space, dtype=np.int64)  # -1 encodes undefined
-    for c in range(space):
-        b = InputMatrix.from_code(n, k, c)
+    gip_v = np.empty(space, dtype=np.int8)
+    disj_v = np.empty(space, dtype=np.int8)
+    udisj_v = np.empty(space, dtype=np.int8)  # -1 encodes undefined
+    for c, b in enumerate(all_inputs(n, k)):
         gip_v[c] = eval_gip(b)
         disj_v[c] = eval_disj(b)
         u = eval_udisj(b)
         udisj_v[c] = -1 if u is UNDEFINED else u
 
     codes = np.arange(1 << (m * nk), dtype=np.int64)
-    sub = [(codes >> (blk * nk)) & (space - 1) for blk in range(m)]
-
-    lhs_gip = gip_v[sub[0]].copy()
-    lhs_disj = disj_v[sub[0]].copy()
-    for s in sub[1:]:
+    lhs_gip = np.zeros(codes.shape, dtype=np.int8)
+    lhs_disj = np.ones(codes.shape, dtype=np.int8)
+    any_undef = np.zeros(codes.shape, dtype=bool)
+    zeros = np.zeros(codes.shape, dtype=np.int8)
+    for blk in range(m):
+        s = (codes >> (blk * nk)) & (space - 1)
         lhs_gip ^= gip_v[s]
         lhs_disj &= disj_v[s]
-    u_vals = np.stack([udisj_v[s] for s in sub])
-    any_undef = (u_vals < 0).any(axis=0)
-    zeros = (u_vals == 0).sum(axis=0)
+        u = udisj_v[s]
+        any_undef |= u < 0
+        zeros += u == 0
     lhs_udisj = np.where(any_undef | (zeros >= 2), -1, np.where(zeros == 0, 1, 0))
 
     full = (1 << k) - 1
-    ones = np.zeros(codes.shape, dtype=np.int64)
+    ones = np.zeros(codes.shape, dtype=np.int8)
     for i in range(m * n):
         ones += ((codes >> (i * k)) & full) == full
     rhs_gip = ones & 1
-    rhs_disj = (ones == 0).astype(np.int64)
+    rhs_disj = (ones == 0).astype(np.int8)
     rhs_udisj = np.where(ones >= 2, -1, np.where(ones == 0, 1, 0))
 
     ok = (

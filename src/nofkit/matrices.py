@@ -4,14 +4,16 @@ An input is an n x k Boolean matrix: row i is the i-th item, column j is the
 bits held on player j's forehead. Player j sees every column except its own.
 
 Rows are stored as Python ints (bit j-1 of ``rows[i]`` is the cell in column
-j), which keeps pattern tests cheap for the protocol implementations and makes
-whole-domain enumeration a range() over codes.
+j), which keeps pattern tests cheap for the protocol implementations. A
+matrix's code packs row i into bits [i*k, (i+1)*k); ``all_inputs`` is the one
+whole-domain enumerator, yielding every input in code order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,17 @@ class InputMatrix:
         if other.k != self.k:
             raise ValueError("column counts differ")
         return InputMatrix(k=self.k, rows=self.rows + other.rows)
+
+
+def all_inputs(n: int, k: int) -> Iterator[InputMatrix]:
+    """Every n x k input in code order, i.e. ``from_code(n, k, c)`` for
+    c = 0, 1, ..., 2^(nk) - 1.
+
+    Rows come from ``product``, reversed so that row 0 (a code's low bits)
+    varies fastest; no code is decoded. Lazy: callers stream the domain.
+    """
+    for rows in product(range(1 << k), repeat=n):
+        yield InputMatrix(k=k, rows=rows[::-1])
 
 
 def stack_blocks(blocks: Sequence[InputMatrix]) -> InputMatrix:

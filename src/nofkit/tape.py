@@ -10,14 +10,26 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=64)
+def _keyed(seed: int, size: int):
+    """blake2b keyed by the seed, before any data: absorbing the key costs a
+    compression, so each draw copies this state instead of keying anew. The
+    cached object is only ever copied, never updated. A trial draws from a
+    few (seed, size) pairs, its own tape's and its parent's, so 64 states
+    hold what is in use."""
+    return hashlib.blake2b(digest_size=size, key=seed.to_bytes(8, "little"))
+
+
 def _digest(seed: int, label: str, size: int = 32) -> bytes:
-    h = hashlib.blake2b(label.encode(), digest_size=size, key=seed.to_bytes(8, "little"))
+    h = _keyed(seed, size).copy()
+    h.update(label.encode())
     return h.digest()
 
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nofkit.combinatorics import (
+    E_LOWER,
     band_size,
     binom_leq,
     binom_sandwich_ok,
@@ -37,6 +38,14 @@ def test_binom_leq_matches_direct_sum():
 
 def test_sandwich_holds_on_grid():
     assert all(binom_sandwich_ok(n, k) for n in range(1, 40) for k in range(1, n + 1))
+
+
+def test_sandwich_equals_its_fraction_form():
+    for n in range(1, 129):
+        for k in range(1, n + 1):
+            c = binom_leq(n, k)
+            expected = Fraction(n, k) ** k <= c <= (E_LOWER * n / k) ** k
+            assert binom_sandwich_ok(n, k) == expected, (n, k)
 
 
 def test_majority_tail_anchor():
@@ -72,6 +81,41 @@ def test_fact21_check_sample_points():
     for n, p in [(1, 0.0), (1, 1.0), (5, 0.3), (64, 0.5), (17, 0.99)]:
         rep = fact21_check(n, p)
         assert rep["ok"], rep
+
+
+def fact21_per_term(n, p, tol=1e-12):
+    """fact21_check as first written: every sum recomputes its pmf terms."""
+
+    def pmf(m, s):
+        return comb(m, s) * p**s * (1.0 - p) ** (m - s)
+
+    lhs1 = sum(pmf(n - 1, s) / sqrt(n - s) for s in range(n))
+    rhs1 = 1.0 / sqrt((1.0 - p) * n) if p < 1.0 else float("inf")
+    lhs2 = sum(pmf(n - 1, s) / sqrt(s + 1) for s in range(n))
+    rhs2 = 1.0 / sqrt(p * n) if p > 0.0 else float("inf")
+    mean = p * n
+    lhs3 = sum(pmf(n, s) * abs(s - mean) for s in range(n + 1))
+    rhs3 = sqrt(p * (1.0 - p) * n)
+    rows = [
+        ("inv_sqrt_remaining", lhs1, rhs1),
+        ("inv_sqrt_count", lhs2, rhs2),
+        ("mean_abs_dev", lhs3, rhs3),
+    ]
+    return {
+        "n": n,
+        "p": p,
+        "checks": [
+            {"name": name, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + tol}
+            for name, lhs, rhs in rows
+        ],
+        "ok": all(lhs <= rhs + tol for _, lhs, rhs in rows),
+    }
+
+
+def test_fact21_check_floats_equal_the_per_term_sums():
+    for n in range(1, 65):
+        for i in range(101):
+            assert fact21_check(n, i / 100) == fact21_per_term(n, i / 100), (n, i)
 
 
 def test_fact21_mean_abs_dev_is_tight_at_half():

@@ -306,6 +306,20 @@ def test_verify_suites_all_pass():
         assert rows
 
 
+def test_identity_cell_fails_when_gip_is_flipped_on_one_block(monkeypatch):
+    real = harness.eval_gip
+    full = InputMatrix.from_code(6, 3, (1 << 18) - 1)
+    monkeypatch.setattr(harness, "eval_gip", lambda x: real(x) ^ (x == full))
+    assert not harness._identity_cell(1, 6, 3)
+
+
+def test_identity_cell_fails_when_udisj_is_flipped_on_one_block(monkeypatch):
+    real = harness.eval_udisj
+    one_hit = InputMatrix(k=3, rows=(7, 0, 0))  # one all-ones row: value 0
+    monkeypatch.setattr(harness, "eval_udisj", lambda x: 1 if x == one_hit else real(x))
+    assert not harness._identity_cell(2, 3, 3)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ValueError):
         verify("nope")

@@ -10,6 +10,10 @@ private (leading underscore) module-level function, class or assignment
 counts as read when some package module loads it by name, reads it as an
 attribute, or imports it.
 
+``matrices.all_inputs`` is the one whole-domain enumerator: no package
+module decodes codes with ``from_code`` inside a loop over
+``range(1 << ...)``.
+
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
 SITES and BUILDERS) names must resolve in the package. That table is read
@@ -112,6 +116,79 @@ def test_private_scan_flags_a_helper_nothing_reads():
 def test_every_private_definition_is_read_in_the_package():
     sources = [module.read_text() for module in sorted(PACKAGE.glob("*.py"))]
     assert unread_privates(sources) == []
+
+
+def is_domain_size(node: ast.AST, sizes: set[str]) -> bool:
+    """``1 << ...``, or a name the module binds to one."""
+    if isinstance(node, ast.Name):
+        return node.id in sizes
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+    )
+
+
+def whole_domain_decodes(source: str) -> list[int]:
+    """Lines of ``from_code`` calls inside a for loop or comprehension over
+    ``range(1 << ...)``, directly or through a name bound to ``1 << ...``."""
+    tree = ast.parse(source)
+    sizes = {
+        t.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_domain_size(node.value, set())
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def over_whole_domain(it: ast.AST) -> bool:
+        return (
+            isinstance(it, ast.Call)
+            and isinstance(it.func, ast.Name)
+            and it.func.id == "range"
+            and any(is_domain_size(a, sizes) for a in it.args)
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and over_whole_domain(node.iter):
+            scope = node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)) and any(
+            over_whole_domain(g.iter) for g in node.generators
+        ):
+            scope = [node]
+        else:
+            continue
+        for inner in (n for part in scope for n in ast.walk(part)):
+            if isinstance(inner, ast.Call):
+                func = inner.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "from_code":
+                    lines.append(inner.lineno)
+    return sorted(lines)
+
+
+def test_decode_scan_flags_loops_over_every_code_only():
+    source = (
+        "for c in range(1 << (n * k)):\n"
+        "    x = InputMatrix.from_code(n, k, c)\n"
+        "xs = [from_code(n, k, c) for c in range(0, 1 << w)]\n"
+        "space = 1 << nk\n"
+        "for c in range(space):\n"
+        "    b = InputMatrix.from_code(n, k, c)\n"
+        "for code, w in sorted(weight.items()):\n"
+        "    x = InputMatrix.from_code(n, k, code)\n"
+        "for i in range(n):\n"
+        "    y = InputMatrix.from_code(n, k, i)\n"
+        "z = InputMatrix.from_code(n, k, 0)\n"
+    )
+    assert whole_domain_decodes(source) == [2, 3, 6]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_decodes_the_whole_domain_code_by_code(module):
+    assert whole_domain_decodes(module.read_text()) == []
 
 
 def traced_attributes(source: str) -> list[tuple[str, str]]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from nofkit.matrices import (
     InputMatrix,
     View,
+    all_inputs,
     format_matrix,
     parse_matrix,
     player_view,
@@ -24,6 +25,13 @@ def test_code_round_trip_exhaustive_small():
         x = InputMatrix.from_code(2, 3, code)
         assert x.code() == code
         assert InputMatrix.from_code(2, 3, x.code()).rows == x.rows
+
+
+def test_all_inputs_is_from_code_in_code_order():
+    for n in range(1, 13):
+        for k in range(1, 12 // n + 1):
+            decoded = [InputMatrix.from_code(n, k, c) for c in range(1 << (n * k))]
+            assert list(all_inputs(n, k)) == decoded, (n, k)
 
 
 def test_bit_addressing():

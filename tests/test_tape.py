@@ -1,10 +1,12 @@
+import hashlib
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nofkit.tape import RandomTape
+from nofkit.tape import RandomTape, _digest
 
 
 def test_same_seed_label_same_draw():
@@ -69,6 +71,23 @@ def test_seed_must_fit_64_bits():
         RandomTape(1 << 64)
     with pytest.raises(ValueError):
         RandomTape(-1)
+
+
+def test_digest_equals_a_freshly_keyed_blake2b():
+    # more seeds than the keyed-state memo holds, so evicted states are rebuilt
+    for seed in range(0, 1 << 64, (1 << 64) // 1500 + 1):
+        key = seed.to_bytes(8, "little")
+        for size in (8, 16, 32, 64):
+            for label in ("", "sub:trial0", f"rank#{seed % 7}", "\u00e9@3"):
+                fresh = hashlib.blake2b(label.encode(), digest_size=size, key=key).digest()
+                assert _digest(seed, label, size) == fresh, (seed, size, label)
+
+
+def test_tape_pickles_to_an_equal_tape():
+    t = RandomTape(12345)
+    t.randbelow("warm", 10)
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.randbelow("x", 1 << 40) == t.randbelow("x", 1 << 40)
 
 
 seeds = st.integers(0, (1 << 64) - 1)
