@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -47,6 +48,19 @@ from .protocols import (
     mod3_params,
 )
 from .tape import RandomTape
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out target the final write could not open. Runs before
+    any work and opens nothing, so it neither creates nor truncates the
+    target."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(f"--out {path} is not writable")
 
 
 def _write(args, text: str):
@@ -280,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.handler(args)
     except (InfeasibleParameters, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,7 +23,6 @@ from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import betainccinv, betaincinv
 
 from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check
 from .core import ProtocolSpec, decompose_to_cylinders, run
@@ -257,9 +256,13 @@ def clopper_pearson(wrong: int, trials: int, confidence: float = 0.99):
 
     The ends are Beta quantiles taken straight from the regularized
     incomplete-beta inverses. SciPy's Beta ppf/isf call the same two
-    ufuncs, so the floats match theirs bit for bit, and importing the
-    package pulls in scipy.special only, not SciPy's much slower
-    statistics package."""
+    ufuncs, so the floats match theirs bit for bit. scipy.special is
+    imported here, its one reader, so only a process that computes an
+    interval (a simulate or sweep report) loads SciPy; the other commands
+    start without it, and nothing loads SciPy's much slower statistics
+    package."""
+    from scipy.special import betainccinv, betaincinv
+
     alpha = 1 - confidence
     lo = 0.0 if wrong == 0 else float(betaincinv(wrong, trials - wrong + 1, alpha / 2))
     hi = 1.0 if wrong == trials else float(betainccinv(wrong + 1, trials - wrong, alpha / 2))

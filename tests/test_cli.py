@@ -2,9 +2,14 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nofkit
 from nofkit import cli, discrepancy, harness
 from nofkit.cli import main
 from nofkit.harness import CSV_HEADER
@@ -418,3 +423,92 @@ def test_a_main_call_leaves_no_parser_garbage(tmp_path):
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+OUT_CASES = {
+    "simulate": (["simulate", "--protocol", "disj", "--n", "16", "--k", "16", "--dist", "sigma",
+                  "--trials", "200"], "simulate"),
+    "sweep": (["sweep", "--protocol", "gip", "--n-list", "4", "--k-list", "4"], "sweep"),
+    "disc": (["disc", "--fn", "gip", "--n", "2", "--k", "2"], "exact_disc"),
+    "exact-error": (["exact-error", "--protocol", "gip", "--matrix", "MATRIX"], "exact_error_oracle"),
+    "verify": (["verify", "--suite", "all"], "verify"),
+}
+
+
+def out_case(command, tmp_path, monkeypatch):
+    """The command's argv, with its work replaced by a call that fails the test."""
+    def unrun(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before the --out check")
+
+    argv, work = OUT_CASES[command]
+    monkeypatch.setattr(cli, work, unrun)
+    matrix = tmp_path / "x.txt"
+    matrix.write_text("2 3\n111\n011\n")
+    return [str(matrix) if a == "MATRIX" else a for a in argv]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+@pytest.mark.parametrize("target, words", [
+    ("missing/out.json", "no directory"),
+    ("x.txt/out.json", "no directory"),
+    (".", "is a directory"),
+])
+def test_unusable_out_is_refused_before_any_work(command, target, words, tmp_path, monkeypatch, capsys):
+    argv = out_case(command, tmp_path, monkeypatch)
+    code = main(argv + ["--out", str(tmp_path / target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out") and words in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+def test_a_failed_run_neither_creates_nor_truncates_its_out(command, tmp_path, monkeypatch):
+    argv = out_case(command, tmp_path, monkeypatch)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    with pytest.raises(AssertionError):
+        main(argv + ["--out", str(kept)])
+    with pytest.raises(AssertionError):
+        main(argv + ["--out", str(fresh)])
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
+STARTUP_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import nofkit.cli
+
+seen = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    code = nofkit.cli.main(argv)
+    seen.append([argv[0], code, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_simulate_report_loads_scipy_in_a_fresh_interpreter(tmp_path):
+    matrix = tmp_path / "x.txt"
+    matrix.write_text("2 3\n111\n011\n")
+    out = ["--out", str(tmp_path / "out.json")]
+    steps = [
+        ["disc", "--fn", "gip", "--n", "2", "--k", "2", "--mode", "exact", "--ell", "1", *out],
+        ["exact-error", "--protocol", "gip", "--matrix", str(matrix), *out],
+        ["verify", "--suite", "decompose", *out],
+        ["simulate", "--protocol", "gip", "--n", "4", "--k", "4", "--trials", "2", *out],
+    ]
+    src = str(Path(nofkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    seen = json.loads(subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(steps)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout)
+    assert [(name, code) for name, code, _ in seen] == [
+        ("import", 0), ("disc", 0), ("exact-error", 0), ("verify", 0), ("simulate", 0)]
+    assert [loaded for _, _, loaded in seen[:-1]] == [[]] * 4
+    assert "scipy.special" in seen[-1][2]

@@ -14,6 +14,10 @@ attribute, or imports it.
 module decodes codes with ``from_code`` inside a loop over
 ``range(1 << ...)``.
 
+SciPy stays off the start-up path: the one ``scipy`` import in the package
+sits inside ``harness.clopper_pearson``, none is at module level, and no
+module catches ``ImportError`` to fall back on another code path.
+
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
 SITES and BUILDERS) names must resolve in the package. That table is read
@@ -189,6 +193,78 @@ def test_decode_scan_flags_loops_over_every_code_only():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_decodes_the_whole_domain_code_by_code(module):
     assert whole_domain_decodes(module.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, or "<module>", line) of every import of ``scipy``
+    or a ``scipy.*`` module."""
+    found = []
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def import_error_handlers(source: str) -> list[int]:
+    """Lines of ``except`` clauses that name ``ImportError`` or
+    ``ModuleNotFoundError``, alone or in a tuple."""
+    caught = {"ImportError", "ModuleNotFoundError"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} & caught:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_scans_find_each_import_with_its_scope_and_each_fallback():
+    source = (
+        "import scipy\n"
+        "from scipy.special import betaincinv\n"
+        "import scipyx\n"
+        "from .scipy import thing\n"
+        "def interval():\n"
+        "    import scipy.special as sp\n"
+        "    def inner():\n"
+        "        from scipy import stats\n"
+        "try:\n"
+        "    import numpy\n"
+        "except (OSError, ModuleNotFoundError):\n"
+        "    pass\n"
+        "except ImportError as e:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    assert scipy_imports(source) == [("<module>", 1), ("<module>", 2), ("interval", 6), ("inner", 8)]
+    assert import_error_handlers(source) == [11, 13]
+
+
+def test_scipy_is_imported_only_inside_clopper_pearson():
+    found = {
+        module.name: scipy_imports(module.read_text()) for module in sorted(PACKAGE.glob("*.py"))
+    }
+    found = {name: [scope for scope, _ in hits] for name, hits in found.items() if hits}
+    assert found == {"harness.py": ["clopper_pearson"]}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_falls_back_on_an_import_error(module):
+    assert import_error_handlers(module.read_text()) == []
 
 
 def traced_attributes(source: str) -> list[tuple[str, str]]:
