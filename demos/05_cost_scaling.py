@@ -11,8 +11,8 @@ make row collisions rarer.
 
 from fractions import Fraction
 
-from nofkit import gip_params, sweep
-from nofkit.harness import structural_ell
+from nofkit import sweep
+from nofkit.protocols import layout
 
 lines = sweep("gip", n_list=[4, 16, 64], k_list=[2, 4, 8, 16], trials=20, seed=9)
 for line in lines:
@@ -23,6 +23,6 @@ for line in lines:
 print()
 n = 256
 for k in (8, 16, 64, 256):
-    ell = structural_ell("gip", n, k, Fraction(1, 3))
-    blocks = len(gip_params(n, k)["blocks"])
+    lay = layout("gip", n, k, Fraction(1, 3))
+    ell, blocks = lay.ell, len(lay.blocks)
     print(f"n={n} k={k:3d}: ell column {ell}, {blocks} block(s)")

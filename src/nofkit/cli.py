@@ -35,7 +35,6 @@ from .harness import (
     report_to_csv_row,
     report_to_json,
     simulate,
-    single_run_width,
     sweep,
     verify,
 )
@@ -44,8 +43,7 @@ from .protocols import (
     DEFAULT_ERROR,
     InfeasibleParameters,
     exact_gip_error,
-    gip_params,
-    mod3_params,
+    layout,
 )
 from .tape import RandomTape
 
@@ -185,13 +183,12 @@ def _cmd_exact_error(args) -> int:
         err = exact_gip_error(x, args.ell)
         out = {"protocol": "gip", "n": x.n, "k": x.k, "ell": args.ell}
     else:
-        width = single_run_width(args.protocol, x.n, x.k, DEFAULT_ERROR)
+        lay = layout(args.protocol, x.n, x.k, DEFAULT_ERROR)
+        width = lay.single_width
         if width is None:
-            params = gip_params if args.protocol == "gip" else mod3_params
-            p = params(x.n, x.k, DEFAULT_ERROR)
             raise ValueError(
-                f"{args.protocol} at n={x.n} k={x.k} runs {len(p['blocks'])} block(s) x "
-                f"{p['reps'][0]} repetition(s); the per-input oracle covers only "
+                f"{args.protocol} at n={x.n} k={x.k} runs {len(lay.blocks)} block(s) x "
+                f"{lay.reps} repetition(s); the per-input oracle covers only "
                 "one block with one repetition"
             )
         err = exact_error_oracle(args.protocol, x.n, x.k, DEFAULT_ERROR)(x)

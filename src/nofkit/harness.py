@@ -38,18 +38,15 @@ from .functions import (
 )
 from .matrices import InputMatrix, all_inputs, parse_matrix
 from .protocols import (
-    DISJ_SUBCALL_ERROR,
     InfeasibleParameters,
     MaskVector,
-    disj_params,
     disj_protocol,
     exact_gip_error,
     exact_mod3_error,
     fold_rows,
     gip_base_outcome,
-    gip_params,
     gip_protocol,
-    mod3_params,
+    layout,
     mod3_protocol,
 )
 from .tape import RandomTape
@@ -108,39 +105,16 @@ class ExperimentConfig:
             raise ValueError("exact_y: only the gip protocol enumerates masks")
 
 
-def structural_ell(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int]:
-    """The ell column of reports: the protocol's largest per-block mask
-    budget (gip, and disj's subcalls) or effective column count (mod3)."""
-    if protocol == "gip":
-        return max(gip_params(n, k, eps)["ells"])
-    if protocol == "disj":
-        disj_params(n, k, eps)
-        return max(gip_params(n, k, DISJ_SUBCALL_ERROR)["ells"])
-    return max(mod3_params(n, k, eps)["k_effs"])
-
-
-def single_run_width(protocol: str, n: int, k: int, eps: Fraction) -> Optional[int]:
-    """The width of the protocol's one base run at (n, k, eps): gip's mask
-    budget ell or mod3's effective column count k_eff. None unless the
-    protocol runs a single block with a single repetition, which disj never
-    does."""
-    if protocol == "disj":
-        return None
-    p = gip_params(n, k, eps) if protocol == "gip" else mod3_params(n, k, eps)
-    if len(p["blocks"]) != 1 or p["reps"] != [1]:
-        return None
-    return p["ells"][0] if protocol == "gip" else p["k_effs"][0]
-
-
 def exact_error_oracle(
     protocol: str, n: int, k: int, eps: Fraction
 ) -> Optional[Callable[[InputMatrix], Fraction]]:
     """Per-input collision-probability formula of the protocol at (n, k, eps),
-    or None outside the single-run regime of ``single_run_width``. In that
-    regime the formula is the chance the one base run's shared draw collides
-    with an input row: an upper bound on the run's error, reached only when
-    every collision flips the output."""
-    width = single_run_width(protocol, n, k, eps)
+    or None unless its layout is one base run (``Layout.single_width``: one
+    call of one block with one repetition, which disj never is). Then the
+    formula is the chance that run's shared draw collides with an input
+    row: an upper bound on the run's error, reached only when every
+    collision flips the output."""
+    width = layout(protocol, n, k, eps).single_width
     if width is None:
         return None
     if protocol == "gip":
@@ -219,7 +193,7 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
 def _exact_y_ell(n: int, k: int, eps: Fraction) -> int:
     """The mask budget exact_y enumerates at n x k, once the shape is checked
     to run one block with one repetition and to stay within EXACT_Y_CAP."""
-    ell = single_run_width("gip", n, k, eps)
+    ell = layout("gip", n, k, eps).single_width
     if ell is None:
         raise ValueError("exact_y: needs the single-block, single-rep regime")
     masks = binom_leq(k, ell)
@@ -312,7 +286,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "mean_cost_bits": tally.cost_sum / tally.runs,
         "worst_cost_bits": tally.cost_max,
         "cost_ceiling_bits": protocol.cost_ceiling,
-        "ell": structural_ell(cfg.protocol, cfg.n, cfg.k, eps),
+        "ell": layout(cfg.protocol, cfg.n, cfg.k, eps).ell,
         "exact_error_mean": float(tally.exact_sum / cfg.trials) if tally.oracle_applies else None,
         "exact_error_max": float(tally.exact_max) if tally.oracle_applies else None,
         "exact_oracle_checked": tally.oracle_ok if cfg.exact_y else None,
@@ -363,7 +337,7 @@ def sweep(
     base = ExperimentConfig(protocol=protocol, n=1, k=1, eps=eps, trials=trials, seed=seed)
     for n, k in product(n_list, k_list):
         try:
-            structural_ell(protocol, n, k, eps_value)
+            layout(protocol, n, k, eps_value)
         except InfeasibleParameters:
             lines.append(f"{n},{k},,,,,,,{seed}")
             continue

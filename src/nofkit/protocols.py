@@ -7,7 +7,9 @@ per call, a tuple of row blocks, each holding its rows, the width they are
 read at and one shared draw per repetition. ``core.run`` builds it once per
 run and hands it to one message, one length and one output rule shared by
 all three protocols, which read nothing else; that keeps the transcript
-splittable and the declared cost ceilings honest.
+splittable and the declared cost ceilings honest. What (n, k, eps) alone
+fixes of a run is one memoized ``Layout`` record from ``layout``: the plans,
+the cost ceilings, the ``*_params`` views and the harness all read it.
 
 gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 the players sitting at the zero positions each broadcast one
@@ -22,9 +24,9 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
                 disjoint and 1/2 otherwise; declares disjoint when at least
-                3/4 of the subcalls answer zero. A subcall's block layout
-                depends on its row count alone and is computed once per
-                count.
+                3/4 of the subcalls answer zero. A subcall on r rows reads
+                ``layout("gip", r, k, 1/16)``; disj's own record holds the
+                full-row subcall's blocks, with the trials as its calls.
 
 mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
                 GF(3) sum of a degree-(k-1) polynomial that agrees with XOR
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import ceil, log
-from typing import Callable, Collection, Sequence, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript, plurality
@@ -74,11 +76,6 @@ def active_budget(n: int, k: int, delta: Rational = Fraction(1, 3)) -> int:
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
-    return _active_budget_cached(n, k, delta)
-
-
-@lru_cache(maxsize=4096)
-def _active_budget_cached(n: int, k: int, delta: Fraction) -> int:
     threshold = Fraction(n) / delta
     for ell in range(k + 1):
         if binom_leq(k, ell) >= threshold:
@@ -262,14 +259,76 @@ def _partition_rows(row_ids: Sequence[int], k: int) -> list[tuple[int, ...]]:
     return [tuple(row_ids[a : a + size]) for a in range(0, n, size)]
 
 
-def _blocks_and_reps(
-    row_ids: Sequence[int], k: int, eps: Fraction
-) -> tuple[list[tuple[int, ...]], int]:
-    """The layout every protocol runs: row blocks small enough for the shared
-    mask or point space, and the odd repetition count that brings each
-    block's vote to error eps / blocks, so the blocks sum to error <= eps."""
-    blocks = _partition_rows(row_ids, k)
-    return blocks, smallest_odd_majority(GIP_BASE_ERROR, eps / len(blocks))
+@dataclass(frozen=True)
+class Layout:
+    """What (protocol, n, k, eps) alone fixes of a run. A call sums in Z_q
+    over its blocks, each a (start, stop, width, space) tuple: its row
+    offsets, the width its rows are read at (gip's mask budget ell, mod3's
+    folded k_eff) and the size of the space its shared draw comes from
+    (binom_leq(k, ell) masks, 2^k_eff points). Every block runs reps
+    repetitions. ``calls`` counts the calls of a run: 1 for gip and mod3,
+    and disj's trials, each a gip subcall at error 1/16 whose full-row
+    blocks these are."""
+
+    q: int
+    blocks: tuple[tuple[int, int, int, int], ...]
+    reps: int
+    calls: int
+
+    @property
+    def cost_ceiling(self) -> int:
+        """Bits of a run: every speaker of every draw sends ceil(log2 q)."""
+        return self.calls * self.reps * ceil_log2(self.q) * sum(w for _, _, w, _ in self.blocks)
+
+    @property
+    def ell(self) -> int:
+        """The ell column of reports: the widest block's width."""
+        return max(w for _, _, w, _ in self.blocks)
+
+    @property
+    def single_width(self) -> Optional[int]:
+        """The width of the one base run, or None unless the run is one call
+        of one block with one repetition (disj's subcalls always repeat)."""
+        if self.calls == 1 and self.reps == 1 and len(self.blocks) == 1:
+            return self.blocks[0][2]
+        return None
+
+
+@lru_cache(maxsize=1024)
+def layout(protocol: str, n: int, k: int, eps: Rational = DEFAULT_ERROR) -> Layout:
+    """The layout of ``protocol`` at (n, k, eps), after every feasibility
+    check. Row blocks are small enough for the shared mask or point space,
+    and the odd repetition count brings each block's vote to error
+    eps / blocks, so the blocks sum to error <= eps. disj's Hoeffding trial
+    count reads eps's numerator and denominator, so an eps below the float
+    range still has a logarithm."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("need 0 < eps < 1")
+    if protocol not in ("gip", "disj", "mod3"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == "disj" and k < 2:
+        raise InfeasibleParameters("subcalls need k >= 2")
+    if (1 << k) < n:
+        raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
+    if protocol == "disj":
+        trials = ceil((log(eps.denominator) - log(eps.numerator)) / (2 * DISJ_GAP**2))
+        # the full-row subcall has the most blocks, so the most repetitions
+        # and the most bits of any row subset
+        full = layout("gip", n, k, DISJ_SUBCALL_ERROR)
+        return Layout(full.q, full.blocks, full.reps, trials)
+    parts = _partition_rows(range(n), k)
+    reps = smallest_odd_majority(GIP_BASE_ERROR, eps / len(parts))
+    blocks = []
+    for rows in parts:
+        if protocol == "gip":
+            width = active_budget(len(rows), k, GIP_BASE_ERROR)
+            space = binom_leq(k, width)
+        else:
+            width = ceil_log2(3 * len(rows))  # effective column count
+            space = 1 << width
+        blocks.append((rows[0], rows[-1] + 1, width, space))
+    return Layout(2 if protocol == "gip" else 3, tuple(blocks), reps, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +375,15 @@ def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
     return patterns
 
 
-@lru_cache(maxsize=256)
-def _gip_layout(
-    n: int, k: int, eps: Fraction
-) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
-    """What the row count alone fixes of a gip call on n rows: per block its
-    (start, stop) offsets, zero budget ell and mask-space size, and the
-    repetitions every block runs."""
-    blocks, reps = _blocks_and_reps(range(n), k, eps)
-    layout = []
-    for rows in blocks:
-        ell = active_budget(len(rows), k, GIP_BASE_ERROR)
-        layout.append((rows[0], rows[-1] + 1, ell, binom_leq(k, ell)))
-    return tuple(layout), reps
-
-
 def _gip_blocks(
     row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, ns: str
 ) -> tuple[Block, ...]:
     """The blocks of one call computing GIP of the given rows, err <= eps:
     every repetition of a block draws a mask within the block's budget."""
-    layout, reps = _gip_layout(len(row_ids), k, eps)
+    lay = layout("gip", len(row_ids), k, eps)
     out = []
-    for b, (start, stop, ell, space) in enumerate(layout):
-        ranks = [tape.randbelow(mask_label(ns, b, r), space) for r in range(reps)]
+    for b, (start, stop, ell, space) in enumerate(lay.blocks):
+        ranks = [tape.randbelow(mask_label(ns, b, r), space) for r in range(lay.reps)]
         draws = tuple(gip_patterns(k, ell, rank) for rank in ranks)
         out.append(Block(tuple(row_ids[start:stop]), k, draws))
     return tuple(out)
@@ -347,31 +391,25 @@ def _gip_blocks(
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
     """Structural parameters of gip_protocol(n, k, eps), without building it."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("need 0 < eps < 1")
-    if (1 << k) < n:
-        raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    layout, reps = _gip_layout(n, k, eps)
-    ells = [ell for _, _, ell, _ in layout]
+    lay = layout("gip", n, k, eps)
     return {
-        "blocks": [stop - start for start, stop, _, _ in layout],
-        "ells": ells,
-        "reps": [reps] * len(layout),
-        "cost_ceiling": reps * sum(ells),
+        "blocks": [stop - start for start, stop, _, _ in lay.blocks],
+        "ells": [ell for _, _, ell, _ in lay.blocks],
+        "reps": [lay.reps] * len(lay.blocks),
+        "cost_ceiling": lay.cost_ceiling,
     }
 
 
 def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     """Randomized simultaneous protocol for the parity of all-ones rows."""
     eps = Fraction(eps)
-    params = gip_params(n, k, eps)
+    lay = layout("gip", n, k, eps)
 
     def plan(tape: RandomTape, ns: str) -> _Plan:
         blocks = _gip_blocks(range(n), k, eps, tape, ns)
         return _Plan(calls=(blocks,), q=2, decide=lambda calls: calls[0])
 
-    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
 
 
 def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
@@ -413,22 +451,12 @@ def subset_label(ns: str, trial: int) -> str:
 
 
 def disj_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("need 0 < eps < 1")
-    if k < 2:
-        raise InfeasibleParameters("subcalls need k >= 2")
-    if (1 << k) < n:
-        raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    trials = ceil(log(1 / float(eps)) / (2 * float(DISJ_GAP) ** 2))
-    # the full-row subcall has the most blocks, so the most repetitions
-    # and the most bits of any row subset
-    full = gip_params(n, k, DISJ_SUBCALL_ERROR)
+    lay = layout("disj", n, k, eps)
     return {
-        "trials": trials,
-        "subcall_reps": max(full["reps"]),
+        "trials": lay.calls,
+        "subcall_reps": lay.reps,
         "subcall_error": DISJ_SUBCALL_ERROR,
-        "cost_ceiling": trials * full["cost_ceiling"],
+        "cost_ceiling": lay.cost_ceiling,
     }
 
 
@@ -440,9 +468,8 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     disjoint (concentrates >= 15/16) from intersecting (<= 9/16) inputs, and
     the 3/4 threshold sits a 3/16 Hoeffding gap from both.
     """
-    eps = Fraction(eps)
-    params = disj_params(n, k, eps)
-    trials = params["trials"]
+    lay = layout("disj", n, k, eps)
+    trials = lay.calls
 
     def decide(calls: list[int]) -> int:
         return int(calls.count(0) >= DISJ_ZERO_THRESHOLD * trials)
@@ -457,7 +484,7 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
             calls.append(_gip_blocks(rows, k, DISJ_SUBCALL_ERROR, tape, sub_ns) if rows else ())
         return _Plan(calls=tuple(calls), q=2, decide=decide)
 
-    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +592,12 @@ def fold_rows(rows: Sequence[int], k_eff: int) -> tuple[int, ...]:
 
 
 def mod3_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("need 0 < eps < 1")
-    if (1 << k) < n:
-        raise InfeasibleParameters(f"needs 2^k >= n, got 2^{k} < {n}")
-    blocks, reps = _blocks_and_reps(range(n), k, eps)
-    k_effs = [ceil_log2(3 * len(b)) for b in blocks]  # effective column counts
-    if any(ke > k for ke in k_effs):
-        raise InfeasibleParameters("block does not fit its effective width")
+    lay = layout("mod3", n, k, eps)
     return {
-        "blocks": [len(b) for b in blocks],
-        "k_effs": k_effs,
-        "reps": [reps] * len(blocks),
-        "cost_ceiling": reps * 2 * sum(k_effs),
+        "blocks": [stop - start for start, stop, _, _ in lay.blocks],
+        "k_effs": [k_eff for _, _, k_eff, _ in lay.blocks],
+        "reps": [lay.reps] * len(lay.blocks),
+        "cost_ceiling": lay.cost_ceiling,
     }
 
 
@@ -624,19 +643,16 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     values are plurality-voted across repetitions, summed mod 3, and the
     output is 1 iff the sum is 0 (i.e. 1 - value^2 over GF(3)).
     """
-    eps = Fraction(eps)
-    params = mod3_params(n, k, eps)
-    blocks, reps = _blocks_and_reps(range(n), k, eps)
-    k_effs = params["k_effs"]
+    lay = layout("mod3", n, k, eps)
 
     def plan(tape: RandomTape, ns: str) -> _Plan:
         out = []
-        for b, (rows, k_eff) in enumerate(zip(blocks, k_effs)):
+        for b, (start, stop, k_eff, space) in enumerate(lay.blocks):
             draws = []
-            for r in range(reps):
-                point = tape.randbelow(point_label(ns, b, r), 1 << k_eff)
+            for r in range(lay.reps):
+                point = tape.randbelow(point_label(ns, b, r), space)
                 draws.append(mod3_message_tables(point, k_eff))
-            out.append(Block(rows, k_eff, tuple(draws)))
+            out.append(Block(tuple(range(start, stop)), k_eff, tuple(draws)))
         return _Plan(calls=(tuple(out),), q=3, decide=lambda calls: int(calls[0] == 0))
 
-    return _plan_protocol(n, k, plan=plan, cost_ceiling=params["cost_ceiling"])
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)

@@ -375,12 +375,23 @@ def test_simulate_refuses_a_bad_source_before_any_worker_starts(
     assert captured.out == ""
 
 
+def test_disj_takes_an_eps_below_the_float_range(tmp_path):
+    # 1e-400 is 0.0 as a float; the Hoeffding trial count reads the exact
+    # fraction: 13,100 trials of a 63-bit subcall
+    code, rep = run_json(
+        ["simulate", "--protocol", "disj", "--n", "4", "--k", "4", "--eps", "1e-400",
+         "--trials", "1"], tmp_path)
+    assert code == 0
+    assert rep["cost_ceiling_bits"] == 825300
+    assert rep["worst_cost_bits"] <= 825300
+
+
 @pytest.mark.parametrize("n_list, k_list", [("0,4", "0,3"), ("-2", "3"), ("4", "0")])
 def test_sweep_refuses_n_or_k_below_one(n_list, k_list, monkeypatch, capsys):
     def unrun(*args):
         raise AssertionError("a grid cell ran before the shape check")
 
-    monkeypatch.setattr(harness, "structural_ell", unrun)
+    monkeypatch.setattr(harness, "layout", unrun)
     code = main(["sweep", "--protocol", "gip", "--n-list", n_list, "--k-list", k_list])
     assert code == 1
     captured = capsys.readouterr()

@@ -25,12 +25,11 @@ from nofkit.harness import (
     report_to_csv_row,
     report_to_json,
     simulate,
-    single_run_width,
-    structural_ell,
     sweep,
     verify,
 )
 from nofkit.matrices import InputMatrix, format_matrix
+from nofkit.protocols import layout
 
 
 def strip_clock(report: dict) -> str:
@@ -194,12 +193,12 @@ def test_exact_y_evaluates_the_oracle_once_per_input(monkeypatch):
 
 def test_single_run_width_is_the_one_base_run_or_none():
     third = Fraction(1, 3)
-    assert single_run_width("gip", 4, 8, third) == 2
-    assert single_run_width("mod3", 4, 8, third) == 4
+    assert layout("gip", 4, 8, third).single_width == 2
+    assert layout("mod3", 4, 8, third).single_width == 4
     # 3 one-row blocks x 13 repetitions at n=3 k=2
-    assert single_run_width("gip", 3, 2, third) is None
-    assert single_run_width("mod3", 3, 2, third) is None
-    assert single_run_width("disj", 2, 3, third) is None
+    assert layout("gip", 3, 2, third).single_width is None
+    assert layout("mod3", 3, 2, third).single_width is None
+    assert layout("disj", 2, 3, third).single_width is None
 
 
 def test_exact_y_requires_single_block_regime():
@@ -260,10 +259,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_structural_ell_values():
-    assert structural_ell("gip", 8, 16, Fraction(1, 3)) == 2
-    assert structural_ell("gip", 8, 64, Fraction(1, 3)) == 1
-    assert structural_ell("mod3", 4, 8, Fraction(1, 3)) == 4
-    assert structural_ell("disj", 16, 16, Fraction(1, 3)) == 2
+    assert layout("gip", 8, 16, Fraction(1, 3)).ell == 2
+    assert layout("gip", 8, 64, Fraction(1, 3)).ell == 1
+    assert layout("mod3", 4, 8, Fraction(1, 3)).ell == 4
+    assert layout("disj", 16, 16, Fraction(1, 3)).ell == 2
 
 
 def test_sweep_header_infeasible_rows_and_monotone_ell():
@@ -289,7 +288,7 @@ def test_sweep_refuses_bad_shapes_and_eps_instead_of_empty_rows(n_list, k_list, 
 
 
 @pytest.mark.parametrize("protocol, trials, seed, words", [
-    ("foo", 4, 0, "protocol"),  # structural_ell would read any name as mod3
+    ("foo", 4, 0, "protocol"),  # the config check runs before any layout
     ("gip", 0, 0, "trials"),
     ("gip", 4, -1, "64 bits"),
     ("gip", 4, 1 << 64, "64 bits"),

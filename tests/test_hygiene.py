@@ -18,6 +18,10 @@ SciPy stays off the start-up path: the one ``scipy`` import in the package
 sits inside ``harness.clopper_pearson``, none is at module level, and no
 module catches ``ImportError`` to fall back on another code path.
 
+``protocols.layout`` is the one derivation of a run's layout: no other
+package function calls ``_partition_rows``, ``active_budget`` or
+``smallest_odd_majority``, the three rules it is built from.
+
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
 SITES and BUILDERS) names must resolve in the package. That table is read
@@ -265,6 +269,55 @@ def test_scipy_is_imported_only_inside_clopper_pearson():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_falls_back_on_an_import_error(module):
     assert import_error_handlers(module.read_text()) == []
+
+
+LAYOUT_RULES = {"_partition_rows", "active_budget", "smallest_odd_majority"}
+
+
+def layout_rule_calls(source: str) -> list[tuple[str, str, int]]:
+    """(enclosing top-level function or class, or "<module>", name, line) of
+    every call of a LAYOUT_RULES name, plain or as an attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in LAYOUT_RULES:
+                    found.append((scope, name, node.lineno))
+    return sorted(found, key=lambda hit: (hit[2], hit[1]))
+
+
+def test_layout_scan_finds_each_call_with_its_scope_and_skips_references():
+    source = (
+        "from .protocols import active_budget\n"
+        "x = active_budget(4, 4)\n"
+        "def layout(p, n, k, eps):\n"
+        "    return _partition_rows(range(n), k), smallest_odd_majority(p, eps)\n"
+        "def other(n, k):\n"
+        "    f = lambda: combinatorics.smallest_odd_majority(1, 2)\n"
+        "    return active_budget\n"
+        "class Thing:\n"
+        "    def method(self):\n"
+        "        return _partition_rows(self.rows, 2)\n"
+    )
+    assert layout_rule_calls(source) == [
+        ("<module>", "active_budget", 2),
+        ("layout", "_partition_rows", 4),
+        ("layout", "smallest_odd_majority", 4),
+        ("other", "smallest_odd_majority", 6),
+        ("Thing", "_partition_rows", 10),
+    ]
+
+
+def test_only_layout_calls_the_layout_rules():
+    calls = {
+        (module.name, scope, name)
+        for module in sorted(PACKAGE.glob("*.py"))
+        for scope, name, _ in layout_rule_calls(module.read_text())
+    }
+    assert calls == {("protocols.py", "layout", name) for name in LAYOUT_RULES}
 
 
 def traced_attributes(source: str) -> list[tuple[str, str]]:

@@ -10,7 +10,6 @@ from nofkit.matrices import InputMatrix
 from nofkit.protocols import (
     InfeasibleParameters,
     MaskVector,
-    _gip_layout,
     active_budget,
     block_piece,
     ceil_log2,
@@ -26,6 +25,7 @@ from nofkit.protocols import (
     gip_params,
     gip_patterns,
     gip_protocol,
+    layout,
     mod3_base_value,
     mod3_params,
     mod3_protocol,
@@ -184,7 +184,7 @@ def test_gip_patterns_match_the_mask_zero_positions():
 
 
 def test_the_mask_and_layout_memos_are_bounded():
-    for memo in (gip_patterns, _gip_layout):
+    for memo in (gip_patterns, layout):
         assert memo.cache_info().maxsize is not None
 
 
