@@ -7,14 +7,20 @@ carries an explicit tolerance.
 ``unrank_band_row`` is the one rank -> row kernel: the shared mask of the
 parity protocol (``MaskVector.from_rank``) and the row law of the hard
 distributions (``distributions._row_with_zero_count_range``) both draw a
-rank and unrank it here. It walks the binomial counts with in-place
-multiply/divide steps, O(k) exact-integer operations per row.
+rank and unrank it here, and ``unrank_combination`` shares its walk. The
+zero count is one bisection over cumulative counts; the positions are read
+off a Pascal table (at most 256 rows by 128 columns, grown by additions up
+to the widest row seen so far), one read, one compare and at most one
+subtract per position. Positions before the last 256 of a wider row take
+an in-place multiply/divide step instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, sqrt
 from typing import Union
 
@@ -66,18 +72,49 @@ def majority_tail(t: int, p: Rational) -> Fraction:
     return sum(Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(need, t + 1))
 
 
+MAX_REPS = 100_001  # the most repetitions smallest_odd_majority will return
+
+
+def _tail_exceeds(t: int, p: Fraction, target: Fraction) -> bool:
+    """majority_tail(t, p) > target, compared on integers.
+
+    With p = a/b and c = b - a, the tail is N / b^t where N sums the terms
+    C(t, s) a^s c^(t-s) for s >= ceil(t/2). They are built from s = t down:
+    each is the one above times s*c / ((t-s+1)*a), an exact division.
+    """
+    a, b = p.numerator, p.denominator
+    c = b - a
+    term = total = a**t
+    for s in range(t, (t + 1) // 2, -1):
+        term = term * s * c // ((t - s + 1) * a)
+        total += term
+    return total * target.denominator > target.numerator * b**t
+
+
 @lru_cache(maxsize=4096)
 def _smallest_odd_majority_cached(p: Fraction, target: Fraction) -> int:
-    t = 1
-    while majority_tail(t, p) > target:
-        t += 2
-        if t > 100_001:
-            raise RuntimeError("amplification did not converge")
-    return t
+    # the tail falls as odd t grows (p < 1/2): double t = 2i + 1 past the
+    # target, then bisect on i between the last miss and the first hit
+    if not _tail_exceeds(1, p, target):
+        return 1
+    top = (MAX_REPS - 1) // 2
+    lo, hi = 0, 1
+    while _tail_exceeds(2 * hi + 1, p, target):
+        if hi == top:
+            raise ValueError(f"amplification needs more than {MAX_REPS} repetitions")
+        lo, hi = hi, min(2 * hi, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_exceeds(2 * mid + 1, p, target):
+            lo = mid
+        else:
+            hi = mid
+    return 2 * hi + 1
 
 
 def smallest_odd_majority(p: Rational, target: Rational) -> int:
-    """Smallest odd t with majority_tail(t, p) <= target. Requires p < 1/2."""
+    """Smallest odd t with majority_tail(t, p) <= target. Requires p < 1/2;
+    refuses a target that needs more than MAX_REPS repetitions."""
     p = Fraction(p)
     target = Fraction(target)
     if not 0 <= p < Fraction(1, 2):
@@ -136,55 +173,108 @@ def fact21_check(n: int, p: float, tol: float = 1e-12) -> dict:
     }
 
 
-def _lex_positions(rank: int, n: int, r: int, block: int):
-    """Yield the rank-th r-subset of {1..n} in lexicographic order.
+_TABLE_WIDTH = 256  # rows of up to this many positions walk by table lookups
+_TABLE_COLUMNS = _TABLE_WIDTH // 2  # a table walk takes at most half its positions
 
-    ``block`` must be C(n-1, r-1), the number of subsets that take position
-    1. At each position c, with m = n - c positions after it, the block is
-    C(m, r-1); moving on it becomes C(m-1, r-1) = C(m, r-1)(m-r+1)/m when c
-    is skipped and C(m-1, r-2) = C(m, r-1)(r-1)/m when c is taken. Both
-    divisions are exact.
+# _PASCAL[r][m] = C(m, r) for r < _TABLE_COLUMNS and m below the height
+# reached so far; grown by _pascal, never shrunk
+_PASCAL: list[list[int]] = []
+
+
+def _pascal(height: int) -> list[list[int]]:
+    """The Pascal table, first grown by additions to rows m < height."""
+    cols = _PASCAL
+    for m in range(len(cols[0]) if cols else 0, height):
+        if m < _TABLE_COLUMNS:
+            cols.append([0] * m)  # C(i, m) = 0 for i < m
+        cols[0].append(1)
+        for r in range(1, min(m + 1, _TABLE_COLUMNS)):
+            cols[r].append(cols[r - 1][m - 1] + cols[r][m - 1])
+    return cols
+
+
+def _table_bits(rank: int, n: int, r: int) -> int:
+    """Bit c-1 set for each c of the rank-th r-subset of {1..n} in
+    lexicographic order; needs n <= _TABLE_WIDTH and 2r <= n.
+
+    At a position with m positions after it, C(m, r-1) of the subsets left
+    take it: the rank is below that count, or skips past it.
     """
-    for c in range(1, n + 1):
-        m = n - c
+    if not r:
+        return 0
+    cols = _pascal(n)
+    col = cols[r - 1]
+    bits = 0
+    for m in range(n - 1, -1, -1):
+        block = col[m]
         if rank < block:
-            yield c
+            bits |= 1 << (n - 1 - m)
             r -= 1
             if not r:
-                return
-            block = block * r // m
+                return bits
+            col = cols[r - 1]
         else:
             rank -= block
-            block = block * (m - r + 1) // m
+    raise AssertionError("rank out of range")
+
+
+def _lex_bits(rank: int, n: int, r: int, total: int) -> int:
+    """Bit c-1 set for each c of the rank-th r-subset of {1..n} in
+    lexicographic order; ``total`` must be C(n, r).
+
+    Positions before the last _TABLE_WIDTH take an in-place step: C(n-1, r-1)
+    = C(n, r) r / n subsets take the next one, an exact division. The rest
+    walk the table, on the complement when more than half of them are taken:
+    complementing reverses lexicographic order, so the n - r positions left
+    out sit at rank C(n, r) - 1 - rank.
+    """
+    bits = shift = 0
+    while n > _TABLE_WIDTH and r:
+        block = total * r // n
+        if rank < block:
+            bits |= 1 << shift
+            r -= 1
+            total = block
+        else:
+            rank -= block
+            total -= block
+        n -= 1
+        shift += 1
+    if 2 * r > n:
+        rest = ((1 << n) - 1) ^ _table_bits(total - 1 - rank, n, n - r)
+    else:
+        rest = _table_bits(rank, n, r)
+    return bits | rest << shift
 
 
 def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     """The ``rank``-th k-subset of {1..n} in lexicographic order (0-based)."""
-    if not 0 <= rank < comb(n, k):
+    total = comb(n, k)
+    if not 0 <= rank < total:
         raise ValueError("rank out of range")
-    if k == 0:
-        return ()
-    return tuple(_lex_positions(rank, n, k, comb(n - 1, k - 1)))
+    bits = _lex_bits(rank, n, k, total)
+    return tuple(c for c in range(1, n + 1) if bits >> (c - 1) & 1)
+
+
+@lru_cache(maxsize=64)
+def _zero_count_starts(k: int) -> list[int]:
+    """Entry j is the number of rows of {0,1}^k with fewer than j zeros,
+    for j = 0..k+1."""
+    return list(accumulate((comb(k, j) for j in range(k + 1)), initial=0))
 
 
 def unrank_band_row(k: int, jmin: int, jmax: int, rank: int) -> int:
     """The ``rank``-th row of {0,1}^k with jmin..jmax zeros (0-based).
 
     Rows are ordered by zero count, then by the lexicographic order of their
-    zero positions; entry j of the row is bit j-1. The zero count is found
-    by stepping C(k, j+1) = C(k, j)(k-j)/(j+1), and the positions by
-    ``_lex_positions``, so a row costs O(k) exact-integer steps.
+    zero positions; entry j of the row is bit j-1. The zero count is one
+    bisection over the cumulative counts of rows by zero count, and the
+    positions come from the table walk of ``_lex_bits``.
     """
     if not 0 <= rank < band_size(k, jmin, jmax):
         raise ValueError("rank out of range")
-    j = jmin
-    count = comb(k, j)
-    while rank >= count:
-        rank -= count
-        count = count * (k - j) // (j + 1)
-        j += 1
-    row = (1 << k) - 1
-    if j:
-        for z in _lex_positions(rank, k, j, count * j // k):
-            row ^= 1 << (z - 1)
-    return row
+    starts = _zero_count_starts(k)
+    rank += starts[jmin]
+    j = bisect_right(starts, rank) - 1
+    zeros = _lex_bits(rank - starts[j], k, j, starts[j + 1] - starts[j])
+    return ((1 << k) - 1) ^ zeros

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nofkit
-from nofkit import cli, discrepancy, harness
+from nofkit import cli, combinatorics, discrepancy, harness
 from nofkit.cli import main
 from nofkit.harness import CSV_HEADER
 from nofkit.protocols import gip_protocol
@@ -384,6 +384,32 @@ def test_disj_takes_an_eps_below_the_float_range(tmp_path):
     assert code == 0
     assert rep["cost_ceiling_bits"] == 825300
     assert rep["worst_cost_bits"] <= 825300
+
+
+def test_gip_and_mod3_take_an_eps_below_the_float_range(capsys):
+    # the per-block target eps / blocks needs thousands of repetitions
+    for protocol in ("gip", "mod3"):
+        code = main(["sweep", "--protocol", protocol, "--n-list", "4", "--k-list", "8",
+                     "--eps", "1e-400", "--trials", "1"])
+        assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+def test_repetitions_past_the_cap_are_one_error_line(monkeypatch, capsys):
+    # the cap lowered to 11 repetitions; an eps no other test uses, so no
+    # memoized layout answers for it
+    monkeypatch.setattr(combinatorics, "MAX_REPS", 11)
+    combinatorics._smallest_odd_majority_cached.cache_clear()
+    try:
+        code = main(["sweep", "--protocol", "gip", "--n-list", "4", "--k-list", "8",
+                     "--eps", "1/1000003", "--trials", "1"])
+    finally:
+        combinatorics._smallest_odd_majority_cached.cache_clear()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: amplification needs more than 11 repetitions"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("n_list, k_list", [("0,4", "0,3"), ("-2", "3"), ("4", "0")])

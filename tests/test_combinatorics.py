@@ -1,14 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nofkit
+from nofkit import combinatorics
 from nofkit.combinatorics import (
     E_LOWER,
+    MAX_REPS,
     band_size,
     binom_leq,
     binom_sandwich_ok,
@@ -75,6 +82,46 @@ def test_smallest_odd_majority_is_minimal():
 def test_smallest_odd_majority_rejects_bad_p():
     with pytest.raises(ValueError):
         smallest_odd_majority(Fraction(1, 2), Fraction(1, 3))
+
+
+def smallest_odd_majority_linear(p, target):
+    """The search as first written: t = 1, 3, 5, ... until the tail fits."""
+    t = 1
+    while majority_tail(t, p) > target:
+        t += 2
+    return t
+
+
+def test_smallest_odd_majority_equals_the_linear_search():
+    ps = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]
+    targets = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(1, 100)]
+    for p in ps:
+        # each odd tail exactly, and just below it: the answer steps by 2
+        edges = [majority_tail(t, p) for t in (1, 3, 7, 15)] if p else []
+        for target in targets + [e for tail in edges for e in (tail, tail * Fraction(999, 1000))]:
+            if target > 0:
+                assert smallest_odd_majority(p, target) == smallest_odd_majority_linear(
+                    p, target
+                ), (p, target)
+
+
+def test_smallest_odd_majority_is_minimal_at_a_small_target():
+    p, target = Fraction(1, 3), Fraction(1, 10**20)
+    t = smallest_odd_majority(p, target)
+    assert majority_tail(t, p) <= target < majority_tail(t - 2, p)
+
+
+def test_smallest_odd_majority_refuses_past_its_cap(monkeypatch):
+    # the cap lowered to 11 repetitions, so the refusal costs no long tail
+    monkeypatch.setattr(combinatorics, "MAX_REPS", 11)
+    combinatorics._smallest_odd_majority_cached.cache_clear()
+    try:
+        assert smallest_odd_majority(Fraction(1, 3), majority_tail(11, Fraction(1, 3))) == 11
+        with pytest.raises(ValueError, match="more than 11 repetitions"):
+            smallest_odd_majority(Fraction(1, 3), Fraction(1, 10**6))
+    finally:
+        combinatorics._smallest_odd_majority_cached.cache_clear()
+    assert MAX_REPS == 100_001
 
 
 def test_fact21_check_sample_points():
@@ -229,3 +276,96 @@ def test_consecutive_ranks_give_increasing_rows_in_band(case):
         b = row_key(k, unrank_band_row(k, jmin, jmax, rank + 1))
         assert jmin <= b[0] <= jmax
         assert a < b
+
+
+def lex_positions_reference(rank, n, r, block):
+    """The in-place multiply/divide walk that unranked rows before the
+    Pascal table: ``block`` is C(n-1, r-1)."""
+    for c in range(1, n + 1):
+        m = n - c
+        if rank < block:
+            yield c
+            r -= 1
+            if not r:
+                return
+            block = block * r // m
+        else:
+            rank -= block
+            block = block * (m - r + 1) // m
+
+
+def unrank_band_row_reference(k, jmin, jmax, rank):
+    """unrank_band_row as the in-place walk computed it."""
+    j = jmin
+    count = comb(k, j)
+    while rank >= count:
+        rank -= count
+        count = count * (k - j) // (j + 1)
+        j += 1
+    row = (1 << k) - 1
+    if j:
+        for z in lex_positions_reference(rank, k, j, count * j // k):
+            row ^= 1 << (z - 1)
+    return row
+
+
+def band_cases(k):
+    """Bands with every edge: one zero count (0, k and either side of k/2),
+    the whole cube, and bands that stop or start at k/2."""
+    half = {max(0, min(k, k // 2 + d)) for d in (-1, 0, 1)} | {(k + 1) // 2}
+    bands = {(0, k), (0, 0), (k, k)} | {(j, j) for j in half}
+    bands |= {(0, j) for j in half} | {(j, k) for j in half}
+    return sorted(bands)
+
+
+@pytest.mark.parametrize("k", list(range(1, 21)) + [255, 256, 257, 300, 600])
+def test_unrank_band_row_matches_the_in_place_walk(k):
+    rng = random.Random(k)
+    for jmin, jmax in band_cases(k):
+        size = band_size(k, jmin, jmax)
+        # the first and last rank of each zero count at the band's ends
+        edges, start = {0, size - 1}, 0
+        for j in range(jmin, jmax + 1):
+            if j in (jmin, jmin + 1, jmax - 1, jmax) or abs(2 * j - k) <= 2:
+                edges |= {start, start + comb(k, j) - 1}
+            start += comb(k, j)
+        ranks = sorted(edges) + [rng.randrange(size) for _ in range(6)]
+        for rank in ranks:
+            assert unrank_band_row(k, jmin, jmax, rank) == unrank_band_row_reference(
+                k, jmin, jmax, rank
+            ), (k, jmin, jmax, rank)
+
+
+def test_unrank_combination_matches_reference_past_the_table():
+    rng = random.Random(400)
+    for n in (255, 256, 257, 400):
+        for k in sorted({0, 1, 2, n // 3, n // 2, n // 2 + 1, n - 1, n}):
+            total = comb(n, k)
+            for rank in {0, total - 1} | {rng.randrange(total) for _ in range(6)}:
+                assert unrank_combination(rank, n, k) == unrank_combination_reference(
+                    rank, n, k
+                ), (n, k, rank)
+
+
+def test_the_pascal_table_stops_at_its_reach():
+    for k in (8, 600, 2000):
+        unrank_band_row(k, 0, k, (1 << k) // 3)
+        unrank_combination(comb(k, k // 2) // 3, k, k // 2)
+    cols = combinatorics._pascal(0)
+    assert len(cols) == 128 and {len(col) for col in cols} == {256}
+    assert all(col[m] == comb(m, r) for r, col in enumerate(cols) for m in range(256))
+    assert combinatorics._zero_count_starts.cache_info().maxsize == 64
+
+
+def test_importing_the_cli_builds_no_table():
+    script = (
+        "import nofkit.cli\n"
+        "from nofkit import combinatorics as c\n"
+        "print(len(c._PASCAL), c._zero_count_starts.cache_info().currsize)\n"
+    )
+    src = str(Path(nofkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == ["0", "0"]

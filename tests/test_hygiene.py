@@ -22,6 +22,10 @@ module catches ``ImportError`` to fall back on another code path.
 package function calls ``_partition_rows``, ``active_budget`` or
 ``smallest_odd_majority``, the three rules it is built from.
 
+Every memo has an explicit bound: each ``lru_cache`` in the package, as a
+decorator or a call, sets ``maxsize`` to a positive integer literal, and
+``functools.cache`` (unbounded) is not used.
+
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
 SITES and BUILDERS) names must resolve in the package. That table is read
@@ -357,3 +361,73 @@ def test_every_traced_attribute_resolves_in_the_package():
     pairs = traced_attributes(SPANS.read_text())
     assert len(pairs) > 40
     assert unresolved(pairs) == []
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines of every ``lru_cache`` whose ``maxsize`` is not a positive
+    integer literal (bare, empty call, None, or a name), and of every
+    ``functools.cache``, by either spelling."""
+    tree = ast.parse(source)
+    cache_names = {"lru_cache"} | {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for a in node.names
+        if a.name == "cache"
+    }
+
+    def is_cache(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in cache_names
+        return (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+    def bounded(call: ast.Call) -> bool:
+        name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+        return name == "lru_cache" and len(sizes) == 1 and (
+            isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            and sizes[0].value > 0
+        )
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_cache(node.func):
+            if not bounded(node):
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines.update(d.lineno for d in node.decorator_list if is_cache(d))
+    return sorted(lines)
+
+
+def test_cache_scan_flags_every_memo_without_a_finite_bound():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=64)\n"
+        "def a(x): return x\n"
+        "@functools.lru_cache(8)\n"
+        "def b(x): return x\n"
+        "@lru_cache\n"
+        "def c(x): return x\n"
+        "@lru_cache()\n"
+        "def d(x): return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def e(x): return x\n"
+        "SIZE = 4\n"
+        "@functools.lru_cache(maxsize=SIZE)\n"
+        "def f(x): return x\n"
+        "@memo\n"
+        "def g(x): return x\n"
+        "@functools.cache\n"
+        "def h(x): return x\n"
+        "i = lru_cache(maxsize=0)(len)\n"
+        "j = lru_cache(maxsize=True)(len)\n"
+        "k = lru_cache(maxsize=16)(len)\n"
+    )
+    assert unbounded_caches(source) == [7, 9, 11, 14, 16, 18, 20, 21]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_in_the_package_is_bounded(module):
+    assert unbounded_caches(module.read_text()) == []

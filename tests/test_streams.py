@@ -7,15 +7,17 @@ deliberate, re-record these pins, and say so in CHANGES.md.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
+from nofkit.combinatorics import binom_leq
 from nofkit.core import run
 from nofkit.distributions import make_dist
 from nofkit.harness import ExperimentConfig, simulate
 from nofkit.matrices import InputMatrix, format_matrix
-from nofkit.protocols import disj_protocol, gip_protocol, mod3_protocol
+from nofkit.protocols import MaskVector, disj_protocol, gip_protocol, mod3_protocol
 from nofkit.tape import RandomTape
 
 
@@ -45,12 +47,24 @@ def digest(value) -> str:
         ("sigma_ell", 5, 12, 12, "787df1d09f1e7767"),  # band draws, unlike sigma
         ("sigma0_ell", 5, 12, 12, "eda1452961e98d76"),
         ("sigma1_ell", 5, 12, 12, "9d088e3a42582245"),
+        ("uniform", 2, 256, None, "bd3401bb5f41706f"),  # widest row the table holds
+        ("uniform", 2, 257, None, "ef782dc163d57ec1"),  # one column past it
+        ("upsilon", 2, 600, 300, "8044ea39d954d152"),  # leading positions outside it
     ],
 )
 def test_sampled_rows_are_pinned(name, n, k, ell, want):
     rng = np.random.default_rng(2026)
     dist = make_dist(name, n, k, ell=ell)
     assert digest([list(dist.sample(rng).rows) for _ in range(20)]) == want
+
+
+def test_wide_masks_are_pinned():
+    # k = 600 rows walk their leading positions without the binomial table
+    size = binom_leq(600, 300)
+    rng = random.Random(600)
+    ranks = [0, size - 1] + [rng.randrange(size) for _ in range(20)]
+    bits = [MaskVector.from_rank(600, 300, rank).bits for rank in ranks]
+    assert digest(bits) == "daeabcadb2d183b6"
 
 
 @pytest.mark.parametrize(
