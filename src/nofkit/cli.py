@@ -13,8 +13,6 @@ import os
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .discrepancy import (
     DEFAULT_DISC_CAP,
     CharacterSpec,
@@ -24,10 +22,10 @@ from .discrepancy import (
     check_bns_pairs,
     exact_disc,
     heuristic_disc,
-    mod3_char_array,
+    payoff_array,
 )
 from .distributions import parse_dist_string
-from .functions import disj_spec, eval_disj, eval_gip, gip_spec
+from .functions import disj_spec, gip_spec
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -38,7 +36,7 @@ from .harness import (
     sweep,
     verify,
 )
-from .matrices import InputMatrix, parse_matrix
+from .matrices import parse_matrix
 from .protocols import (
     DEFAULT_ERROR,
     InfeasibleParameters,
@@ -118,21 +116,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _phi_array(fn: str, n: int, k: int) -> np.ndarray:
-    """The +-1 (or complex) payoff array over per-player column universes."""
-    if fn == "mod3char":
-        return mod3_char_array(n, k)
-    evaluate = eval_gip if fn == "gip" else eval_disj
-    shape = (1 << n,) * k
-    out = np.empty(shape, dtype=np.float64)
-    for idx in np.ndindex(shape):
-        rows = tuple(
-            sum(((idx[j] >> r) & 1) << j for j in range(k)) for r in range(n)
-        )
-        out[idx] = 1.0 - 2.0 * evaluate(InputMatrix(k=k, rows=rows))
-    return out
-
-
 def _cmd_disc(args) -> int:
     n, k = args.n, args.k
     if args.fn == "mod3char":
@@ -154,7 +137,7 @@ def _cmd_disc(args) -> int:
         if q.weight.name != "uniform":
             raise ValueError(f"--mode bns averages over uniform inputs; got --dist {args.dist}")
         check_bns_pairs((1 << n,) * k, args.cap)  # before the (2^n)^k array exists
-        rhs = bns_rhs(_phi_array(args.fn, n, k), cap=args.cap)
+        rhs = bns_rhs(payoff_array(args.fn, n, k), cap=args.cap)
         value = rhs ** (1.0 / (1 << k))
 
     checks = []

@@ -59,36 +59,48 @@ def binom_sandwich_ok(n: int, k: int) -> bool:
     return n**k <= c * k**k and c * (den * k) ** k <= (num * n) ** k
 
 
+def _tail_numerator(t: int, a: int, c: int) -> int:
+    """Sum of C(t, s) a^s c^(t-s) over s >= ceil(t/2): with p = a/b and
+    c = b - a, the majority tail times b^t. The terms are built from s = t
+    down, each the one above times s*c / ((t-s+1)*a), an exact division."""
+    if a == 0:
+        return 0
+    term = total = a**t
+    for s in range(t, (t + 1) // 2, -1):
+        term = term * s * c // ((t - s + 1) * a)
+        total += term
+    return total
+
+
 def majority_tail(t: int, p: Rational) -> Fraction:
     """P[Bin(t, p) >= ceil(t/2)], the chance a majority vote goes bad.
 
-    Exact; this is the per-protocol amplification error for odd t when each
-    repetition fails independently with probability p.
+    Exact: ``_tail_numerator`` over b^t for p = a/b, the one tail kernel,
+    which ``smallest_odd_majority``'s search also reads. This is the
+    amplification error for odd t when each repetition fails independently
+    with probability p.
     """
     if t < 1:
         raise ValueError("need t >= 1")
     p = Fraction(p)
-    need = (t + 1) // 2
-    return sum(Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(need, t + 1))
+    a, b = p.numerator, p.denominator
+    return Fraction(_tail_numerator(t, a, b - a), b**t)
 
 
 MAX_REPS = 100_001  # the most repetitions smallest_odd_majority will return
 
 
 def _tail_exceeds(t: int, p: Fraction, target: Fraction) -> bool:
-    """majority_tail(t, p) > target, compared on integers.
-
-    With p = a/b and c = b - a, the tail is N / b^t where N sums the terms
-    C(t, s) a^s c^(t-s) for s >= ceil(t/2). They are built from s = t down:
-    each is the one above times s*c / ((t-s+1)*a), an exact division.
-    """
+    """majority_tail(t, p) > target, compared on integers. The central term
+    alone is tried first: C(t, s) >= 2^t / (t+1) at s = ceil(t/2) bounds the
+    tail from below, and settles a target far below it without the sum."""
     a, b = p.numerator, p.denominator
     c = b - a
-    term = total = a**t
-    for s in range(t, (t + 1) // 2, -1):
-        term = term * s * c // ((t - s + 1) * a)
-        total += term
-    return total * target.denominator > target.numerator * b**t
+    s = (t + 1) // 2
+    scale = target.numerator * b**t
+    if (a**s * c ** (t - s) << t) * target.denominator > scale * (t + 1):
+        return True
+    return _tail_numerator(t, a, c) * target.denominator > scale
 
 
 @lru_cache(maxsize=4096)

@@ -4,11 +4,12 @@ A protocol is a single pass over players 1..k in increasing order. Each player
 contributes one (possibly empty) bit string to a public blackboard; the output
 is then a function of the blackboard and the shared tape alone. Message rules
 see their player's View, the entries already on the blackboard (always empty
-for protocols declared simultaneous), the tape (or the run's plan, see
-ProtocolSpec), and a namespace string that keeps nested draws independent.
+for protocols declared simultaneous) and the tape (or the run's plan, see
+ProtocolSpec). A run's only randomness is its tape; runs that must be
+independent take tapes derived with ``tape.sub(label)``.
 
 Message lengths must not depend on the input: protocols declare a length_rule
-(player, tape, ns) -> bits so that a message made of several pieces can be
+(player, tape) -> bits so that a message made of several pieces can be
 split deterministically. Every built-in protocol satisfies this; it is also
 what makes the cost accounting meaningful, since an input-dependent length
 would smuggle information around the bit count. Repetition and voting live
@@ -24,9 +25,9 @@ from .matrices import InputMatrix, View, all_inputs, player_view
 from .tape import RandomTape
 
 TranscriptEntry = tuple[int, str]
-MessageRule = Callable[[int, View, tuple[TranscriptEntry, ...], Any, str], str]
-OutputRule = Callable[["Transcript", Any, str], int]  # Any: the tape, or the plan
-LengthRule = Callable[[int, Any, str], int]
+MessageRule = Callable[[int, View, tuple[TranscriptEntry, ...], Any], str]
+OutputRule = Callable[["Transcript", Any], int]  # Any: the tape, or the plan
+LengthRule = Callable[[int, Any], int]
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class ProtocolSpec:
     makes them eligible for cylinder decomposition).
 
     plan, when set, builds the input-independent part of one run (the shared
-    draws of a public-coin protocol) from (tape, ns). run() builds it once,
+    draws of a public-coin protocol) from the tape. run() builds it once,
     and the rules receive it where callback protocols receive the tape.
     """
 
@@ -91,28 +92,28 @@ class ProtocolSpec:
     output_rule: OutputRule
     length_rule: Optional[LengthRule] = None
     cost_ceiling: Optional[int] = None
-    plan: Optional[Callable[[RandomTape, str], Any]] = None
+    plan: Optional[Callable[[RandomTape], Any]] = None
 
 
-def rule_context(p: ProtocolSpec, tape: RandomTape, ns: str) -> Any:
-    """What p's rules receive for one run under (tape, ns): its plan, built
+def rule_context(p: ProtocolSpec, tape: RandomTape) -> Any:
+    """What p's rules receive for one run on this tape: its plan, built
     here, or the tape itself when p has no plan."""
-    return tape if p.plan is None else p.plan(tape, ns)
+    return tape if p.plan is None else p.plan(tape)
 
 
-def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape, ns: str = "") -> ProtocolOutcome:
-    """Execute one protocol instance. Pure in (p, x, tape, ns)."""
+def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape) -> ProtocolOutcome:
+    """Execute one protocol instance. Pure in (p, x, tape)."""
     if x.n != p.n or x.k != p.k:
         raise ValueError(f"input is {x.n}x{x.k}, protocol wants {p.n}x{p.k}")
-    ctx = rule_context(p, tape, ns)
+    ctx = rule_context(p, tape)
     entries: list[TranscriptEntry] = []
     for i in range(1, p.k + 1):
         prefix = () if p.simultaneous else tuple(entries)
-        msg = p.message_rule(i, player_view(x, i), prefix, ctx, ns)
+        msg = p.message_rule(i, player_view(x, i), prefix, ctx)
         if set(msg) - {"0", "1"}:
             raise ValueError(f"player {i} produced non-bit message {msg!r}")
         if p.length_rule is not None:
-            want = p.length_rule(i, ctx, ns)
+            want = p.length_rule(i, ctx)
             if len(msg) != want:
                 raise ValueError(
                     f"player {i} sent {len(msg)} bits, length rule declares {want}"
@@ -120,7 +121,7 @@ def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape, ns: str = "") -> Prot
         if msg:
             entries.append((i, msg))
     transcript = Transcript(entries=tuple(entries))
-    output = p.output_rule(transcript, ctx, ns)
+    output = p.output_rule(transcript, ctx)
     if output not in (0, 1):
         raise ValueError(f"output rule produced {output!r}")
     return ProtocolOutcome(output=output, transcript=transcript, cost_bits=transcript.cost_bits)
@@ -189,7 +190,7 @@ def decompose_to_cylinders(
         raise ValueError(f"domain 2^{n * k} exceeds cap {cap}")
 
     tape = RandomTape(0)  # deterministic protocols never touch it
-    ctx = rule_context(p, tape, "")
+    ctx = rule_context(p, tape)
     by_transcript: dict[tuple[TranscriptEntry, ...], list[int]] = {}
     outputs: dict[tuple[TranscriptEntry, ...], int] = {}
     # per player, the first view in code order with each index: the hidden
@@ -229,7 +230,7 @@ def decompose_to_cylinders(
             table = 0
             # consistency of player i with this transcript, view by view
             for idx in range(view_size):
-                if p.message_rule(i, shown[i][idx], prefix_of[i], ctx, "") == said[i]:
+                if p.message_rule(i, shown[i][idx], prefix_of[i], ctx) == said[i]:
                     table |= 1 << idx
             if table != (1 << view_size) - 1:
                 players.append(i)

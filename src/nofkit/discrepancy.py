@@ -9,7 +9,8 @@ bounds against, not scalability. exact_disc enumerates all table tuples, so
 it is doubly exponential and guarded by a cap; heuristic_disc is a local
 search usable far past that cap, under a cap of its own on the 2^(nk)
 inputs it sweeps; bns_rhs evaluates the tensor-product quantity
-that upper-bounds |E phi chi|^(2^k) for every cylinder intersection chi.
+that upper-bounds |E phi chi|^(2^k) for every cylinder intersection chi,
+on the payoff array phi that payoff_array builds.
 
 correlation, exact_disc and the heuristic sweep share one family rule
 (_subset_candidates) and one membership test (_passing), which reads each
@@ -330,16 +331,29 @@ def check_bns_pairs(sizes: Sequence[int], cap: int) -> None:
         raise CapExceeded(f"{count} (u0,u1) tuples exceed cap {cap}")
 
 
-def mod3_char_array(n: int, k: int) -> np.ndarray:
-    """phi as a k-axis array over column values: phi(c_1..c_k) depends on the
-    bitwise XOR of the columns (row XORs are exactly its bits)."""
+def payoff_array(fn: str, n: int, k: int) -> np.ndarray:
+    """phi of fn ("gip", "disj" or "mod3char") as a k-axis array, player i's
+    axis ranging over its column's value. Row r is bit r of every column, so
+    one reduction of the columns serves all three: their AND holds the
+    all-ones rows (gip's parity, disj's emptiness), their XOR the row
+    parities (the mod-3 character's count)."""
+    values = np.arange(1 << n, dtype=np.int64)
     pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
-    idx = np.zeros((1 << n,) * k, dtype=np.int64)
+    op = np.bitwise_xor if fn == "mod3char" else np.bitwise_and
+    acc = np.full((1 << n,) * k, 0 if fn == "mod3char" else (1 << n) - 1, dtype=np.int64)
     for i in range(k):
         shape = [1] * k
         shape[i] = 1 << n
-        idx = np.bitwise_xor(idx, np.arange(1 << n, dtype=np.int64).reshape(shape))
-    return np.exp(2j * np.pi * (pop[idx] % 3) / 3)
+        acc = op(acc, values.reshape(shape))
+    if fn == "mod3char":
+        return np.exp(2j * np.pi * (pop[acc] % 3) / 3)
+    bad = pop[acc] & 1 if fn == "gip" else acc == 0  # eval_gip, eval_disj
+    return 1.0 - 2.0 * bad
+
+
+def mod3_char_array(n: int, k: int) -> np.ndarray:
+    """The mod-3 character's phi: ``payoff_array``'s mod3char case."""
+    return payoff_array("mod3char", n, k)
 
 
 def mod3_char_bns_closed_form(n: int, k: int) -> float:

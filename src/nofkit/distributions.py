@@ -36,19 +36,6 @@ from .combinatorics import band_size, unrank_band_row, unrank_combination
 from .functions import eval_mod3xor
 from .matrices import InputMatrix
 
-_NAMES = (
-    "uniform",
-    "upsilon",
-    "mu",
-    "sigma0",
-    "sigma1",
-    "sigma",
-    "sigma0_ell",
-    "sigma1_ell",
-    "sigma_ell",
-    "nu",
-)
-
 # The banded families: name -> (fewest zeros a free row may have, probability
 # of one planted all-ones row, free rows drawn as one int below 2^k - 1
 # rather than by band rank). The most zeros is ell, or k for names without ell.
@@ -64,6 +51,7 @@ _BANDED = {
     "sigma1_ell": (1, 1, False),
     "sigma_ell": (1, Fraction(1, 2), False),
 }
+_NAMES = (*_BANDED, "mu", "nu")
 
 
 def nu_counts(n: int, k: int) -> tuple[int, int]:

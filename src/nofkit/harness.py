@@ -123,14 +123,13 @@ def exact_error_oracle(
 
 
 class Tally(NamedTuple):
-    """Exact totals over an exact_y mask, a trial, a chunk or a run. oracle_applies: the
-    per-input oracle applies; oracle_ok: exact_y agreed with it; exact_*: its sum and max."""
+    """Exact totals over an exact_y mask, a trial, a chunk or a run. oracle_ok: exact_y
+    agreed with the per-input oracle; exact_*: its sum and max, where the layout has one."""
 
     runs: int = 0
     wrong: int = 0
     cost_sum: int = 0
     cost_max: int = 0
-    oracle_applies: bool = True
     oracle_ok: bool = True
     exact_sum: Fraction = 0  # int zeros keep the per-mask fold of exact_y cheap
     exact_max: Fraction = 0
@@ -141,8 +140,8 @@ def fold(tallies: Iterable[Tally]) -> Tally:
     identity, so masks, trials and worker chunks may be grouped any way."""
     return reduce(lambda a, b: Tally(
         a.runs + b.runs, a.wrong + b.wrong, a.cost_sum + b.cost_sum, max(a.cost_max, b.cost_max),
-        a.oracle_applies and b.oracle_applies, a.oracle_ok and b.oracle_ok,
-        a.exact_sum + b.exact_sum, max(a.exact_max, b.exact_max)), tallies, Tally())
+        a.oracle_ok and b.oracle_ok, a.exact_sum + b.exact_sum, max(a.exact_max, b.exact_max)),
+        tallies, Tally())
 
 
 def _trial_setup(cfg: ExperimentConfig, eps: Fraction) -> tuple[Callable, Optional[int]]:
@@ -183,9 +182,7 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
         else:
             outcome = run(protocol, x, tape)
             tally = Tally(1, int(outcome.output != evaluate(x)), outcome.cost_bits, outcome.cost_bits)
-        if e is None:
-            return tally._replace(oracle_applies=False)
-        return tally._replace(exact_sum=e, exact_max=e)
+        return tally if e is None else tally._replace(exact_sum=e, exact_max=e)
 
     return fold(map(trial, range(start, stop)))
 
@@ -218,7 +215,7 @@ def _exact_y_trial(x: InputMatrix, ell: int, expected: Fraction) -> Tally:
         hit = mask.bits in rows
         collisions += hit
         wrong = int(out != truth)
-        return Tally(1, wrong, len(bits), len(bits), True, hit or not wrong)
+        return Tally(1, wrong, len(bits), len(bits), hit or not wrong)
 
     tally = fold(map(mask_tally, range(total)))
     agrees = Fraction(collisions, total) == expected
@@ -275,6 +272,8 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
     if protocol.cost_ceiling is not None and tally.cost_max > protocol.cost_ceiling:
         raise CostCeilingExceeded(f"measured cost {tally.cost_max} above ceiling {protocol.cost_ceiling}")
     ci_low, ci_high = (None, None) if cfg.exact_y else clopper_pearson(tally.wrong, tally.runs)
+    lay = layout(cfg.protocol, cfg.n, cfg.k, eps)
+    oracle = lay.single_width is not None  # exact_error_oracle's regime
     return {
         "schema": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -286,9 +285,9 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "mean_cost_bits": tally.cost_sum / tally.runs,
         "worst_cost_bits": tally.cost_max,
         "cost_ceiling_bits": protocol.cost_ceiling,
-        "ell": layout(cfg.protocol, cfg.n, cfg.k, eps).ell,
-        "exact_error_mean": float(tally.exact_sum / cfg.trials) if tally.oracle_applies else None,
-        "exact_error_max": float(tally.exact_max) if tally.oracle_applies else None,
+        "ell": lay.ell,
+        "exact_error_mean": float(tally.exact_sum / cfg.trials) if oracle else None,
+        "exact_error_max": float(tally.exact_max) if oracle else None,
         "exact_oracle_checked": tally.oracle_ok if cfg.exact_y else None,
         "seed": cfg.seed,
         "wall_clock_s": round(time.monotonic() - t0, 6),
@@ -469,12 +468,12 @@ def _announce_protocol(n: int) -> ProtocolSpec:
     """Two players; player 1 reads column 2 off its view and broadcasts it;
     the output is the parity of column 2. Deterministic, cost n."""
 
-    def message_rule(i, view, prefix, tape, ns):
+    def message_rule(i, view, prefix, tape):
         if i != 1:
             return ""
         return "".join(str(view.bit(r, 2)) for r in range(n))
 
-    def output_rule(transcript, tape, ns):
+    def output_rule(transcript, tape):
         bits = transcript.player_bits(1)
         return sum(int(b) for b in bits) & 1
 
@@ -485,7 +484,7 @@ def _announce_protocol(n: int) -> ProtocolSpec:
         deterministic=True,
         message_rule=message_rule,
         output_rule=output_rule,
-        length_rule=lambda i, tape, ns: n if i == 1 else 0,
+        length_rule=lambda i, tape: n if i == 1 else 0,
         cost_ceiling=n,
     )
 
@@ -496,9 +495,9 @@ def _constant_protocol(n: int, k: int, value: int) -> ProtocolSpec:
         k=k,
         simultaneous=True,
         deterministic=True,
-        message_rule=lambda i, view, prefix, tape, ns: "",
-        output_rule=lambda transcript, tape, ns: value,
-        length_rule=lambda i, tape, ns: 0,
+        message_rule=lambda i, view, prefix, tape: "",
+        output_rule=lambda transcript, tape: value,
+        length_rule=lambda i, tape: 0,
         cost_ceiling=0,
     )
 

@@ -195,7 +195,7 @@ def block_piece(q: int, rows: Collection[int], share: Share, player: int) -> str
     return format(total % 3, "02b")
 
 
-def _plan_message(i: int, view: View, prefix, plan: _Plan, ns: str) -> str:
+def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
     """Player i's pieces in (call, block, repetition) order. It masks its
     rows once per run, when it first speaks, and per block it speaks in
     builds what ``block_piece`` reads once: the odd rows for gip, the
@@ -218,11 +218,11 @@ def _plan_message(i: int, view: View, prefix, plan: _Plan, ns: str) -> str:
     return "".join(pieces)
 
 
-def _plan_length(i: int, plan: _Plan, ns: str) -> int:
+def _plan_length(i: int, plan: _Plan) -> int:
     return plan.lengths.get(i, 0)
 
 
-def _plan_output(transcript: Transcript, plan: _Plan, ns: str) -> int:
+def _plan_output(transcript: Transcript, plan: _Plan) -> int:
     """A repetition sums its pieces mod q, a block takes the plurality of its
     repetitions, a call sums its blocks mod q, and decide reads the calls."""
     values = iter([int(piece, 2) for piece in transcript.pieces(plan.pieces)])
@@ -335,8 +335,10 @@ def layout(protocol: str, n: int, k: int, eps: Rational = DEFAULT_ERROR) -> Layo
 # GIP
 
 
-def mask_label(ns: str, block: int, rep: int) -> str:
-    return f"{ns}gip/b{block}/r{rep}/mask"
+def mask_label(scope: str, block: int, rep: int) -> str:
+    """The mask draw's label: ``scope`` is "" for a gip run's own call and
+    "disj/t{t}/" for disj's subcall t."""
+    return f"{scope}gip/b{block}/r{rep}/mask"
 
 
 def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k: int) -> int:
@@ -376,14 +378,14 @@ def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
 
 
 def _gip_blocks(
-    row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, ns: str
+    row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, scope: str
 ) -> tuple[Block, ...]:
     """The blocks of one call computing GIP of the given rows, err <= eps:
     every repetition of a block draws a mask within the block's budget."""
     lay = layout("gip", len(row_ids), k, eps)
     out = []
     for b, (start, stop, ell, space) in enumerate(lay.blocks):
-        ranks = [tape.randbelow(mask_label(ns, b, r), space) for r in range(lay.reps)]
+        ranks = [tape.randbelow(mask_label(scope, b, r), space) for r in range(lay.reps)]
         draws = tuple(gip_patterns(k, ell, rank) for rank in ranks)
         out.append(Block(tuple(row_ids[start:stop]), k, draws))
     return tuple(out)
@@ -405,8 +407,8 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     eps = Fraction(eps)
     lay = layout("gip", n, k, eps)
 
-    def plan(tape: RandomTape, ns: str) -> _Plan:
-        blocks = _gip_blocks(range(n), k, eps, tape, ns)
+    def plan(tape: RandomTape) -> _Plan:
+        blocks = _gip_blocks(range(n), k, eps, tape, "")
         return _Plan(calls=(blocks,), q=2, decide=lambda calls: calls[0])
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
@@ -446,8 +448,8 @@ def gip_base_outcome(x: InputMatrix, mask: MaskVector) -> tuple[int, tuple[int, 
 # DISJ
 
 
-def subset_label(ns: str, trial: int) -> str:
-    return f"{ns}disj/t{trial}/subset"
+def subset_label(trial: int) -> str:
+    return f"disj/t{trial}/subset"
 
 
 def disj_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -474,14 +476,13 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     def decide(calls: list[int]) -> int:
         return int(calls.count(0) >= DISJ_ZERO_THRESHOLD * trials)
 
-    def plan(tape: RandomTape, ns: str) -> _Plan:
+    def plan(tape: RandomTape) -> _Plan:
         calls = []
         for t in range(trials):
-            picks = tape.bitvector(subset_label(ns, t), n)
+            picks = tape.bitvector(subset_label(t), n)
             rows = tuple(i for i in range(n) if picks[i])
             # an empty subset is a call without blocks, whose gip is 0
-            sub_ns = f"{ns}disj/t{t}/"
-            calls.append(_gip_blocks(rows, k, DISJ_SUBCALL_ERROR, tape, sub_ns) if rows else ())
+            calls.append(_gip_blocks(rows, k, DISJ_SUBCALL_ERROR, tape, f"disj/t{t}/") if rows else ())
         return _Plan(calls=tuple(calls), q=2, decide=decide)
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
@@ -577,8 +578,8 @@ def exact_mod3_error(x: InputMatrix) -> Fraction:
     return Fraction(len(set(x.rows)), 1 << x.k)
 
 
-def point_label(ns: str, block: int, rep: int) -> str:
-    return f"{ns}mod3/b{block}/r{rep}/point"
+def point_label(block: int, rep: int) -> str:
+    return f"mod3/b{block}/r{rep}/point"
 
 
 def fold_rows(rows: Sequence[int], k_eff: int) -> tuple[int, ...]:
@@ -645,12 +646,12 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     """
     lay = layout("mod3", n, k, eps)
 
-    def plan(tape: RandomTape, ns: str) -> _Plan:
+    def plan(tape: RandomTape) -> _Plan:
         out = []
         for b, (start, stop, k_eff, space) in enumerate(lay.blocks):
             draws = []
             for r in range(lay.reps):
-                point = tape.randbelow(point_label(ns, b, r), space)
+                point = tape.randbelow(point_label(b, r), space)
                 draws.append(mod3_message_tables(point, k_eff))
             out.append(Block(tuple(range(start, stop)), k_eff, tuple(draws)))
         return _Plan(calls=(tuple(out),), q=3, decide=lambda calls: int(calls[0] == 0))

@@ -44,7 +44,7 @@ class RandomTape:
             raise ValueError("master_seed must fit in 64 bits")
 
     def sub(self, label: str) -> "RandomTape":
-        """Derived tape for an independent namespace (e.g. per trial)."""
+        """Derived tape for an independent run (e.g. one per trial)."""
         child = int.from_bytes(_digest(self.master_seed, "sub:" + label, 8), "little")
         return RandomTape(master_seed=child)
 

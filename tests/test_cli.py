@@ -149,7 +149,7 @@ def test_disc_bns_refuses_non_uniform_dist(dist, monkeypatch, capsys):
     def unbuilt(*args):
         raise AssertionError("payoff array built before the refusal")
 
-    monkeypatch.setattr(cli, "_phi_array", unbuilt)
+    monkeypatch.setattr(cli, "payoff_array", unbuilt)
     code = main(["disc", "--fn", "gip", "--n", "1", "--k", "2", "--mode", "bns", "--dist", dist])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -311,11 +311,32 @@ def test_disc_refusal_is_one_error_line_naming_the_cap(mode, monkeypatch, capsys
         raise AssertionError("built before the cap check")
 
     monkeypatch.setattr(discrepancy, "_signed_items", unbuilt)
-    monkeypatch.setattr(cli, "_phi_array", unbuilt)
+    monkeypatch.setattr(cli, "payoff_array", unbuilt)
     code = main(["disc", "--fn", "gip", "--n", "3", "--k", "6", "--mode", mode])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "exceed cap 1048576" in err[0]
+
+
+def test_sweep_refuses_past_max_reps_without_a_long_tail_sum(monkeypatch, capsys):
+    # eps 1e-3000 needs more than MAX_REPS repetitions at p = 1/3; the
+    # central-term bound refuses every doubling step without a full sum
+    summed = []
+    real = combinatorics._tail_numerator
+
+    def counted(t, a, c):
+        summed.append(t)
+        return real(t, a, c)
+
+    monkeypatch.setattr(combinatorics, "_tail_numerator", counted)
+    code = main(["sweep", "--protocol", "gip", "--n-list", "4", "--k-list", "8",
+                 "--eps", "1e-3000", "--trials", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "repetitions" in err[0]
+    assert captured.out == ""
+    assert all(t < 2049 for t in summed), max(summed)
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic", "bns"])
@@ -324,7 +345,7 @@ def test_disc_refuses_ell_before_any_enumeration(ell, mode, monkeypatch, capsys)
     def unrun(*args, **kwargs):
         raise AssertionError("enumerated before the --ell check")
 
-    for name in ("exact_disc", "heuristic_disc", "_phi_array", "bound_suite"):
+    for name in ("exact_disc", "heuristic_disc", "payoff_array", "bound_suite"):
         monkeypatch.setattr(cli, name, unrun)
     code = main(["disc", "--fn", "gip", "--n", "3", "--k", "2", "--mode", mode, "--ell", ell])
     assert code == 1

@@ -60,6 +60,21 @@ def test_majority_tail_anchor():
     assert majority_tail(1, Fraction(1, 3)) == Fraction(1, 3)
 
 
+def majority_tail_fraction_sum(t, p):
+    """The tail as first written: one Fraction term per s >= ceil(t/2)."""
+    p = Fraction(p)
+    need = (t + 1) // 2
+    return sum(Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(need, t + 1))
+
+
+def test_majority_tail_equals_the_fraction_sum():
+    ps = [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+          Fraction(3, 4), Fraction(1)]
+    for p in ps:
+        for t in range(1, 62):
+            assert majority_tail(t, p) == majority_tail_fraction_sum(t, p), (t, p)
+
+
 def test_majority_tail_decreases():
     vals = [majority_tail(t, Fraction(1, 3)) for t in (1, 3, 5, 7, 9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -21,10 +21,10 @@ def M(*rows):
 def and_protocol():
     """n=1, k=2: each player announces the other's bit; output = AND."""
 
-    def message_rule(i, view, prefix, tape, ns):
+    def message_rule(i, view, prefix, tape):
         return str(view.bit(0, 3 - i))
 
-    def output_rule(transcript, tape, ns):
+    def output_rule(transcript, tape):
         return int(transcript.player_bits(1) == "1" and transcript.player_bits(2) == "1")
 
     return ProtocolSpec(
@@ -34,19 +34,19 @@ def and_protocol():
         deterministic=True,
         message_rule=message_rule,
         output_rule=output_rule,
-        length_rule=lambda i, tape, ns: 1,
+        length_rule=lambda i, tape: 1,
         cost_ceiling=2,
     )
 
 
 def noisy_and_protocol(err_num: int, err_den: int):
     """Like and_protocol but the referee flips the answer with probability
-    err_num/err_den using a tape draw namespaced per repetition."""
+    err_num/err_den using one tape draw."""
     base = and_protocol()
 
-    def output_rule(transcript, tape, ns):
-        val = base.output_rule(transcript, tape, ns)
-        flip = tape.randbelow(f"{ns}flip", err_den) < err_num
+    def output_rule(transcript, tape):
+        val = base.output_rule(transcript, tape)
+        flip = tape.randbelow("flip", err_den) < err_num
         return val ^ int(flip)
 
     return ProtocolSpec(
@@ -76,25 +76,25 @@ def test_run_rejects_wrong_shape():
 def test_run_validates_messages_and_output():
     bad_bits = ProtocolSpec(
         n=1, k=1, simultaneous=True, deterministic=True,
-        message_rule=lambda i, v, pre, t, ns: "2",
-        output_rule=lambda tr, t, ns: 0,
+        message_rule=lambda i, v, pre, t: "2",
+        output_rule=lambda tr, t: 0,
     )
     with pytest.raises(ValueError, match="non-bit"):
         run(bad_bits, M([1]), RandomTape(0))
 
     bad_len = ProtocolSpec(
         n=1, k=1, simultaneous=True, deterministic=True,
-        message_rule=lambda i, v, pre, t, ns: "01",
-        output_rule=lambda tr, t, ns: 0,
-        length_rule=lambda i, t, ns: 1,
+        message_rule=lambda i, v, pre, t: "01",
+        output_rule=lambda tr, t: 0,
+        length_rule=lambda i, t: 1,
     )
     with pytest.raises(ValueError, match="length rule"):
         run(bad_len, M([1]), RandomTape(0))
 
     bad_out = ProtocolSpec(
         n=1, k=1, simultaneous=True, deterministic=True,
-        message_rule=lambda i, v, pre, t, ns: "",
-        output_rule=lambda tr, t, ns: 2,
+        message_rule=lambda i, v, pre, t: "",
+        output_rule=lambda tr, t: 2,
     )
     with pytest.raises(ValueError, match="output"):
         run(bad_out, M([1]), RandomTape(0))
@@ -103,8 +103,8 @@ def test_run_validates_messages_and_output():
 def test_empty_messages_leave_no_entry():
     quiet = ProtocolSpec(
         n=1, k=3, simultaneous=True, deterministic=True,
-        message_rule=lambda i, v, pre, t, ns: "1" if i == 2 else "",
-        output_rule=lambda tr, t, ns: 1,
+        message_rule=lambda i, v, pre, t: "1" if i == 2 else "",
+        output_rule=lambda tr, t: 1,
     )
     out = run(quiet, M([0, 0, 0]), RandomTape(0))
     assert out.transcript.entries == ((2, "1"),)
@@ -114,13 +114,13 @@ def test_empty_messages_leave_no_entry():
 def test_simultaneous_players_see_empty_prefix():
     seen = []
 
-    def message_rule(i, view, prefix, tape, ns):
+    def message_rule(i, view, prefix, tape):
         seen.append((i, prefix))
         return "0"
 
     p = ProtocolSpec(
         n=1, k=3, simultaneous=True, deterministic=True,
-        message_rule=message_rule, output_rule=lambda tr, t, ns: 0,
+        message_rule=message_rule, output_rule=lambda tr, t: 0,
     )
     run(p, M([1, 1, 1]), RandomTape(0))
     assert seen == [(1, ()), (2, ()), (3, ())]
@@ -129,13 +129,13 @@ def test_simultaneous_players_see_empty_prefix():
 def test_sequential_players_see_growing_prefix():
     seen = []
 
-    def message_rule(i, view, prefix, tape, ns):
+    def message_rule(i, view, prefix, tape):
         seen.append((i, prefix))
         return "1"
 
     p = ProtocolSpec(
         n=1, k=2, simultaneous=False, deterministic=True,
-        message_rule=message_rule, output_rule=lambda tr, t, ns: 0,
+        message_rule=message_rule, output_rule=lambda tr, t: 0,
     )
     run(p, M([1, 1]), RandomTape(0))
     assert seen == [(1, ()), (2, ((1, "1"),))]
@@ -212,7 +212,7 @@ def relay_protocol():
     """n=2, k=3, sequential: player 1 says x[0][2] ^ x[1][3]; player 2 says
     that bit AND x[1][1], reading it off the blackboard; output = player 2's bit."""
 
-    def message_rule(i, view, prefix, tape, ns):
+    def message_rule(i, view, prefix, tape):
         if i == 1:
             return str(view.bit(0, 2) ^ view.bit(1, 3))
         if i == 2:
@@ -225,8 +225,8 @@ def relay_protocol():
         simultaneous=False,
         deterministic=True,
         message_rule=message_rule,
-        output_rule=lambda transcript, tape, ns: int(transcript.player_bits(2)),
-        length_rule=lambda i, tape, ns: 1 if i < 3 else 0,
+        output_rule=lambda transcript, tape: int(transcript.player_bits(2)),
+        length_rule=lambda i, tape: 1 if i < 3 else 0,
         cost_ceiling=2,
     )
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,10 @@ from nofkit.discrepancy import (
     heuristic_disc,
     mod3_char_array,
     mod3_char_bns_closed_form,
+    payoff_array,
 )
 from nofkit.distributions import make_dist
-from nofkit.functions import gip_spec, udisj_spec
+from nofkit.functions import eval_disj, eval_gip, gip_spec, udisj_spec
 from nofkit.matrices import InputMatrix
 from nofkit.tape import RandomTape
 
@@ -255,6 +257,41 @@ def test_char_array_matches_spec_evaluate():
                 sum(x.bit(r, j + 1) << r for r in range(n)) for j in range(k)
             )
             assert arr[idx] == pytest.approx(spec.evaluate(x))
+
+
+def reference_mod3_char_array(n, k):
+    """The mod-3 character's phi as first written, off the columns' XOR."""
+    pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
+    idx = np.zeros((1 << n,) * k, dtype=np.int64)
+    for i in range(k):
+        shape = [1] * k
+        shape[i] = 1 << n
+        idx = np.bitwise_xor(idx, np.arange(1 << n, dtype=np.int64).reshape(shape))
+    return np.exp(2j * np.pi * (pop[idx] % 3) / 3)
+
+
+def reference_payoff_array(fn, n, k):
+    """The payoff array as first written: one InputMatrix per cell."""
+    if fn == "mod3char":
+        return reference_mod3_char_array(n, k)
+    evaluate = eval_gip if fn == "gip" else eval_disj
+    shape = (1 << n,) * k
+    out = np.empty(shape, dtype=np.float64)
+    for idx in np.ndindex(shape):
+        rows = tuple(sum(((idx[j] >> r) & 1) << j for j in range(k)) for r in range(n))
+        out[idx] = 1.0 - 2.0 * evaluate(InputMatrix(k=k, rows=rows))
+    return out
+
+
+@pytest.mark.parametrize("fn", ["gip", "disj", "mod3char"])
+def test_payoff_array_equals_the_per_cell_reference(fn):
+    for n in range(1, 13):
+        for k in range(1, 12 // n + 1):
+            want = reference_payoff_array(fn, n, k)
+            got = payoff_array(fn, n, k)
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, k)
+            assert got.tobytes() == want.tobytes(), (n, k)
+    assert mod3_char_array(2, 3).tobytes() == payoff_array("mod3char", 2, 3).tobytes()
 
 
 def test_bns_rhs_closed_form():

@@ -133,6 +133,19 @@ def test_simulate_oracle_fields_when_single_block():
     assert blocked["exact_error_mean"] is None
 
 
+@pytest.mark.parametrize("protocol, n, k, single", [
+    ("gip", 8, 16, True),    # one block, one repetition
+    ("gip", 4, 3, False),    # blocked and voted
+    ("mod3", 4, 8, True),    # one block, folded to k_eff = 4
+    ("disj", 4, 4, False),   # subcalls always repeat
+])
+def test_exact_error_fields_are_null_exactly_outside_a_single_base_run(protocol, n, k, single):
+    assert (layout(protocol, n, k, Fraction(1, 3)).single_width is not None) == single
+    r = simulate(ExperimentConfig(protocol=protocol, n=n, k=k, trials=6, seed=5))
+    assert (r["exact_error_mean"] is not None) == single
+    assert (r["exact_error_max"] is not None) == single
+
+
 def test_simulate_mod3_folded_oracle_bounds_empirical_error():
     # k above the direct width folds to k_eff = 4: the collision space is
     # 2^4, so the meaningful ceiling is (distinct folded rows)/16

@@ -30,13 +30,23 @@ The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
 SITES and BUILDERS) names must resolve in the package. That table is read
 with ``ast``, never imported or edited.
+
+A run's only randomness is its tape, and ``tape.sub`` is the one way to
+separate runs: no package function takes a parameter named ``ns``, and every
+rule of the five built-in specs (the three protocol builders and verify's
+two decomposition fixtures) takes exactly its narrow argument list, read off
+``inspect.signature``.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from nofkit.harness import _announce_protocol, _constant_protocol
+from nofkit.protocols import disj_protocol, gip_protocol, mod3_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nofkit"
@@ -431,3 +441,54 @@ def test_cache_scan_flags_every_memo_without_a_finite_bound():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_memo_in_the_package_is_bounded(module):
     assert unbounded_caches(module.read_text()) == []
+
+
+def parameters_named(source: str, name: str) -> list[tuple[str, int]]:
+    """(function name or "<lambda>", line) of every function or lambda with
+    a parameter of this name, in any position."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(a is not None and a.arg == name for a in params):
+                found.append((getattr(node, "name", "<lambda>"), node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_parameter_scan_finds_functions_and_lambdas_in_every_position():
+    source = (
+        "def a(x, ns=''): return x\n"
+        "def b(*, ns): return ns\n"
+        "f = lambda i, ns: i\n"
+        "def c(ns_prefix, *ns): return ns\n"
+        "def d(x): return x.ns\n"
+    )
+    assert parameters_named(source, "ns") == [("a", 1), ("b", 2), ("<lambda>", 3), ("c", 4)]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_function_takes_a_namespace(module):
+    assert parameters_named(module.read_text(), "ns") == []
+
+
+RULE_ARITY = {"message_rule": 4, "length_rule": 2, "output_rule": 2, "plan": 1}
+PLANNED = ("gip", "disj", "mod3")  # the two fixtures have no plan; their rules get the tape
+BUILTIN_SPECS = {
+    "gip": lambda: gip_protocol(4, 4),
+    "disj": lambda: disj_protocol(4, 4),
+    "mod3": lambda: mod3_protocol(4, 4),
+    "announce": lambda: _announce_protocol(2),
+    "constant": lambda: _constant_protocol(1, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_every_builtin_rule_takes_its_narrow_argument_list(name):
+    spec = BUILTIN_SPECS[name]()
+    arity = {
+        field: len(inspect.signature(getattr(spec, field)).parameters)
+        for field in RULE_ARITY
+        if getattr(spec, field) is not None
+    }
+    assert arity == {f: n for f, n in RULE_ARITY.items() if f != "plan" or name in PLANNED}

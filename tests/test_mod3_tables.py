@@ -139,7 +139,7 @@ def reference_player_message(n, k, x, tape, player):
         if player > k_eff:
             continue
         for r in range(params["reps"][b]):
-            point = tape.randbelow(point_label("", b, r), 1 << k_eff)
+            point = tape.randbelow(point_label(b, r), 1 << k_eff)
             items = reference_items(point, k_eff)[player]
             out.append(reference_message(view, block, items, k_eff))
     return "".join(out)

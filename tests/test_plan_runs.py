@@ -2,7 +2,7 @@
 thing its rules read.
 
 The references here rebuild the plan for every rule call, which is only
-sound because building a plan is pure in (tape, ns), or rebuild gip and
+sound because building a plan is pure in the tape, or rebuild gip and
 disj runs from the protocol's own draws and the single-run reference
 ``gip_base_outcome``.
 """
@@ -69,7 +69,7 @@ def test_one_run_draws_what_one_plan_build_draws(name, n, k, monkeypatch):
     x = random_input(np.random.default_rng(n + k), n, k)
     tape = RandomTape(master_seed=77)
     counts = count_draws(monkeypatch)
-    p.plan(tape, "")
+    p.plan(tape)
     per_plan = counts["draws"]
     counts["draws"] = 0
     run(p, x, tape)
@@ -80,12 +80,12 @@ def rebuilt_plan_run(p, x, tape):
     """(transcript entries, output) with a fresh plan for every rule call."""
     entries = []
     for i in range(1, p.k + 1):
-        msg = p.message_rule(i, player_view(x, i), (), p.plan(tape, ""), "")
-        assert len(msg) == p.length_rule(i, p.plan(tape, ""), "")
+        msg = p.message_rule(i, player_view(x, i), (), p.plan(tape))
+        assert len(msg) == p.length_rule(i, p.plan(tape))
         if msg:
             entries.append((i, msg))
     transcript = Transcript(entries=tuple(entries))
-    return transcript.entries, p.output_rule(transcript, p.plan(tape, ""), "")
+    return transcript.entries, p.output_rule(transcript, p.plan(tape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +99,7 @@ def test_run_equals_a_run_that_rebuilds_the_plan_per_rule_call(shape, seed, inpu
     assert (out.transcript.entries, out.output) == rebuilt_plan_run(p, x, tape)
 
 
-def reference_gip_call(x, tape, row_ids, eps, ns):
+def reference_gip_call(x, tape, row_ids, eps, scope):
     """(bits per player, value) of one gip call on the given rows: every
     block's repetitions redraw the protocol's masks from the tape and run
     gip_base_outcome on the block's rows; the blocks XOR their majorities."""
@@ -111,7 +111,7 @@ def reference_gip_call(x, tape, row_ids, eps, ns):
         sub = InputMatrix(k=k, rows=tuple(x.rows[r] for r in block))
         outputs = []
         for r in range(params["reps"][b]):
-            rank = tape.randbelow(mask_label(ns, b, r), binom_leq(k, ell))
+            rank = tape.randbelow(mask_label(scope, b, r), binom_leq(k, ell))
             mask = MaskVector.from_rank(k, ell, rank)
             out, bits = gip_base_outcome(sub, mask)
             for z, bit in zip(mask.zero_positions, bits):
@@ -130,7 +130,7 @@ def reference_run(name, x, tape):
     trials = disj_params(n, k)["trials"]
     zeros = 0
     for t in range(trials):
-        picks = tape.bitvector(subset_label("", t), n)
+        picks = tape.bitvector(subset_label(t), n)
         rows = tuple(i for i in range(n) if picks[i])
         value = 0
         if rows:
@@ -194,7 +194,7 @@ def test_a_run_reads_each_view_row_at_most_once_per_call(name, n, k, monkeypatch
     monkeypatch.setattr(View, "masked_row", counted)
     tape = RandomTape(master_seed=5)
     run(p, x, tape)
-    plan = p.plan(tape, "")
+    plan = p.plan(tape)
     speakers = {i for blocks in plan.calls for block in blocks for draw in block.draws for i in draw}
     assert max(reads.values()) == 1
     assert {player for player, _ in reads} == speakers

@@ -200,7 +200,7 @@ def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
 
     monkeypatch.setattr(MaskVector, "from_rank", classmethod(counted))
     gip_patterns.cache_clear()
-    plan = p.plan(RandomTape(3), "")
+    plan = p.plan(RandomTape(3))
     draws = sum(len(block.draws) for blocks in plan.calls for block in blocks)
     assert binom_leq(256, 2) == 32897
     assert 1 <= len(unranked) <= draws
@@ -264,8 +264,8 @@ def test_gip_namespaces_give_independent_draws():
     proto = gip_protocol(2, 16)
     x = InputMatrix(k=16, rows=(65535, 1))
     tape = RandomTape(3)
-    a = run(proto, x, tape, ns="a/")
-    b = run(proto, x, tape, ns="b/")
+    a = run(proto, x, tape.sub("a"))
+    b = run(proto, x, tape.sub("b"))
     assert (a.transcript, a.output) != (b.transcript, b.output) or a.cost_bits != b.cost_bits
 
 
