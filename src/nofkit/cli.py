@@ -67,8 +67,19 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of a grid flag; blank entries are
+    skipped, and a list with no value or a non-integer entry is refused."""
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(int(part))
+            except ValueError:
+                raise ValueError(f"{flag}: {part.strip()!r} is not an integer") from None
+    if not values:
+        raise ValueError(f"{flag}: no values in {text!r}")
+    return values
 
 
 def _source_from_args(args) -> str:
@@ -101,8 +112,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     lines = sweep(
         args.protocol,
-        _parse_int_list(args.n_list),
-        _parse_int_list(args.k_list),
+        _parse_int_list("--n-list", args.n_list),
+        _parse_int_list("--k-list", args.k_list),
         eps=args.eps,
         trials=args.trials,
         seed=args.seed,

@@ -47,22 +47,6 @@ class Transcript:
     def player_bits(self, player: int) -> str:
         return "".join(bits for p, bits in self.entries if p == player)
 
-    def pieces(self, widths: Iterable[tuple[int, int]]) -> list[str]:
-        """Cut each player's bits into consecutive pieces of the declared
-        (player, width) sizes, taken in the order given: the one decoder of
-        concatenated messages (a plan's pieces, one per speaker, block and
-        repetition)."""
-        cursor: dict[int, int] = {}
-        spans = []
-        for player, width in widths:
-            at = cursor.get(player, 0)
-            cursor[player] = at + width
-            spans.append((player, at, at + width))
-        bits = {player: self.player_bits(player) for player in cursor}
-        if any(len(bits[player]) < end for player, end in cursor.items()):
-            raise ValueError("transcript is shorter than its declared widths")
-        return [bits[player][at:end] for player, at, end in spans]
-
 
 @dataclass(frozen=True)
 class ProtocolOutcome:

@@ -2,14 +2,17 @@
 
 All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
-alone, never from the input. Each spec's ``plan`` describes one run as data:
-per call, a tuple of row blocks, each holding its rows, the width they are
-read at and one shared draw per repetition. ``core.run`` builds it once per
-run and hands it to one message, one length and one output rule shared by
-all three protocols, which read nothing else; that keeps the transcript
-splittable and the declared cost ceilings honest. What (n, k, eps) alone
-fixes of a run is one memoized ``Layout`` record from ``layout``: the plans,
-the cost ceilings, the ``*_params`` views and the harness all read it.
+alone, never from the input. Each spec's ``plan`` describes one run as flat
+data, built in one pass over the layout and the tape: its row blocks (row
+ids, width, call, rows as a bitmask, draw indices) and, per speaker, the
+pieces it sends in speaking order, each with its draw, block and share.
+``core.run`` builds it once per run and hands it to one message, one length
+and one output rule shared by all three protocols, which read nothing else;
+that keeps the transcript splittable and the declared cost ceilings honest.
+The output rule decodes each speaker's bits once and sums the pieces per
+draw with one ``np.bincount``. What (n, k, eps) alone fixes of a run is one
+memoized ``Layout`` record from ``layout``: the plans, the cost ceilings,
+the ``*_params`` views and the harness all read it.
 
 gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 the players sitting at the zero positions each broadcast one
@@ -19,7 +22,9 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 block is repeated for a majority vote. A speaker's bit is
                 the multiplicity mod 2 of one pattern among its masked block
                 rows, so the plan holds each speaker's pattern
-                (``gip_patterns``) and a bit is one set-membership test.
+                (``gip_patterns``), and a bit is one lookup in a map from
+                masked value to the bitmask of the rows holding it, ANDed
+                with the block's rows, whose popcount parity is the bit.
 
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
@@ -43,7 +48,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import ceil, log
-from typing import Callable, Collection, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript, plurality
@@ -123,117 +130,125 @@ def enumerate_masks(k: int, ell: int):
 
 Share = Union[int, list[int]]  # gip: the speaker's pattern; mod3: its GF(3) table
 Draw = dict[int, Share]
+_GF3_BITS = ("00", "01", "10")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
-    """One row block of a voted call: its row ids, the width its rows are read
-    at (k for gip, the folded k_eff for mod3) and one shared draw per
-    repetition. A draw maps each of its speakers, in speaking order, to that
-    speaker's share: gip's pattern (``gip_patterns``), or mod3's GF(3) table
-    (``mod3_message_tables``)."""
+    """One row block of a voted call: its row ids, the width its rows are
+    read at (k for gip, the folded k_eff for mod3), the call it belongs to,
+    its rows as a bitmask (bit r for row r) and the indices of its draws,
+    one per repetition."""
 
     rows: tuple[int, ...]
     width: int
-    draws: tuple[Draw, ...]
-    shares: dict[int, list[Share]] = field(init=False)  # per speaker, in repetition order
-
-    def __post_init__(self):
-        self.shares = {}
-        for draw in self.draws:
-            for i, share in draw.items():
-                self.shares.setdefault(i, []).append(share)
+    call: int
+    mask: int
+    draws: range
 
 
 @dataclass
 class _Plan:
-    """One run as data: per call (one for gip and mod3, one per row subset
-    for disj) its blocks, the field Z_q a repetition sums in, and decide,
-    the output from the per-call values. A call without blocks has value 0."""
+    """One run as data, built block by block in (call, block) order by
+    ``add``: the field Z_q a repetition sums in, the number of calls (one
+    for gip and mod3, one per row subset for disj; a call without blocks has
+    value 0) and decide, the output from the per-call values. Every speaker
+    of every draw sends one piece of ``bits`` bits, and ``speakers`` holds
+    per speaker its (draw, block, share) entries in (call, block,
+    repetition) order, the order of its message."""
 
-    calls: tuple[tuple[Block, ...], ...]
     q: int
+    calls: int
     decide: Callable[[list[int]], int]
-    # (player, bits) of every piece in (call, block, repetition, speaker)
-    # order, and the bits per player: computed once, read by every rule call
-    pieces: list[tuple[int, int]] = field(init=False)
-    lengths: dict[int, int] = field(init=False)
+    blocks: list[Block] = field(default_factory=list)
+    speakers: dict[int, list[tuple[int, Block, Share]]] = field(default_factory=dict)
+    draws: int = 0
 
-    def __post_init__(self):
-        bits = ceil_log2(self.q)
-        self.pieces = [
-            (i, bits)
-            for blocks in self.calls
-            for block in blocks
-            for draw in block.draws
-            for i in draw
-        ]
-        self.lengths = {}
-        for i, width in self.pieces:
-            self.lengths[i] = self.lengths.get(i, 0) + width
+    @property
+    def bits(self) -> int:
+        return ceil_log2(self.q)
 
-
-def odd_rows(rows: list[int]) -> set[int]:
-    """The row values that occur an odd number of times."""
-    odd = set(rows)
-    if len(odd) < len(rows):
-        odd = {r for r in odd if rows.count(r) & 1}
-    return odd
-
-
-def block_piece(q: int, rows: Collection[int], share: Share, player: int) -> str:
-    """A speaker's piece for one repetition of a block. For q = 2, ``rows``
-    is ``odd_rows`` of the block's masked rows and the piece is the gip
-    broadcast bit: whether the speaker's pattern is among them. For q = 3,
-    ``rows`` are the masked rows folded to the block's width, and the piece
-    is the two-bit GF(3) sum of one lookup in the speaker's table per row
-    that holds columns 1..player-1."""
-    if q == 2:
-        return "1" if share in rows else "0"
-    need = (1 << (player - 1)) - 1
-    total = sum(share[eff >> player] for eff in rows if eff & need == need)
-    return format(total % 3, "02b")
+    def add(self, call: int, rows: tuple[int, ...], width: int, draws: Sequence[Draw]) -> None:
+        """Append a block of ``call`` with these row ids and width and one
+        draw per repetition, each mapping its speakers, in speaking order,
+        to their shares: gip's patterns (``gip_patterns``) or mod3's GF(3)
+        tables (``mod3_message_tables``)."""
+        first = self.draws
+        self.draws += len(draws)
+        block = Block(rows, width, call, sum(1 << r for r in rows), range(first, self.draws))
+        self.blocks.append(block)
+        speakers = self.speakers
+        for d, draw in enumerate(draws, first):
+            for i, share in draw.items():
+                entries = speakers.get(i)
+                if entries is None:
+                    entries = speakers[i] = []
+                entries.append((d, block, share))
 
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
     """Player i's pieces in (call, block, repetition) order. It masks its
-    rows once per run, when it first speaks, and per block it speaks in
-    builds what ``block_piece`` reads once: the odd rows for gip, the
-    folded rows for mod3."""
-    masked = None
+    rows once per run. A gip piece is the multiplicity mod 2 of the
+    speaker's pattern among the block's masked rows, read off a map from
+    each masked value to the bitmask of the rows that hold it. A mod3
+    piece sums one table lookup per block row that holds columns 1..i-1,
+    over the rows folded once per block."""
+    entries = plan.speakers.get(i)
+    if entries is None:
+        return ""
+    masked = [view.masked_row(r) for r in range(view.n)]
+    if plan.q == 2:
+        where: dict[int, int] = {}
+        for r, v in enumerate(masked):
+            where[v] = where.get(v, 0) | 1 << r
+        return "".join(["01"[(where.get(share, 0) & block.mask).bit_count() & 1]
+                        for _, block, share in entries])
+    need = (1 << (i - 1)) - 1
     pieces = []
-    for blocks in plan.calls:
-        for block in blocks:
-            shares = block.shares.get(i)
-            if shares is None:
-                continue
-            if masked is None:
-                masked = [view.masked_row(r) for r in range(view.n)]
-            rows = [masked[r] for r in block.rows]
-            if plan.q == 2:
-                rows = odd_rows(rows)
-            elif block.width < view.k:
-                rows = fold_rows(rows, block.width)
-            pieces.extend(block_piece(plan.q, rows, share, i) for share in shares)
+    held = None
+    for _, block, table in entries:
+        if block is not held:
+            held = block
+            rows = fold_rows([masked[r] for r in block.rows], block.width)
+            tops = [eff >> i for eff in rows if eff & need == need]
+        pieces.append(_GF3_BITS[sum(table[w] for w in tops) % 3])
     return "".join(pieces)
 
 
 def _plan_length(i: int, plan: _Plan) -> int:
-    return plan.lengths.get(i, 0)
+    return plan.bits * len(plan.speakers.get(i, ()))
+
+
+def _piece_values(transcript: Transcript, plan: _Plan) -> np.ndarray:
+    """Every piece's value, speaker by speaker in ``plan.speakers`` order
+    and each speaker's in its entries' order: the speaker's bits, read once
+    from the transcript, cut into consecutive ``plan.bits``-bit slices. A
+    speaker with fewer bits than its pieces declare is an error."""
+    said: dict[int, str] = {}
+    for i, bits in transcript.entries:
+        said[i] = said.get(i, "") + bits
+    width = plan.bits
+    text = []
+    for i, entries in plan.speakers.items():
+        msg = said.get(i, "")
+        if len(msg) < width * len(entries):
+            raise ValueError(f"transcript is shorter than its plan declares for player {i}")
+        text.append(msg[: width * len(entries)])
+    digits = np.frombuffer("".join(text).encode(), np.uint8) - ord("0")
+    return digits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
 
 
 def _plan_output(transcript: Transcript, plan: _Plan) -> int:
     """A repetition sums its pieces mod q, a block takes the plurality of its
     repetitions, a call sums its blocks mod q, and decide reads the calls."""
-    values = iter([int(piece, 2) for piece in transcript.pieces(plan.pieces)])
-    calls = []
-    for blocks in plan.calls:
-        total = 0
-        for block in blocks:
-            reps = [sum(next(values) for _ in draw) % plan.q for draw in block.draws]
-            total += plurality(reps, plan.q)
-        calls.append(total % plan.q)
-    return plan.decide(calls)
+    q = plan.q
+    drawn = [d for entries in plan.speakers.values() for d, _, _ in entries]
+    sums = np.bincount(drawn, weights=_piece_values(transcript, plan), minlength=plan.draws)
+    reps = (sums.astype(np.int64) % q).tolist()
+    calls = [0] * plan.calls
+    for block in plan.blocks:
+        calls[block.call] += plurality(reps[block.draws.start : block.draws.stop], q)
+    return plan.decide([value % q for value in calls])
 
 
 # the fixed part of the three specs: simultaneous, public-coin, and every
@@ -377,18 +392,24 @@ def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
     return patterns
 
 
-def _gip_blocks(
-    row_ids: Sequence[int], k: int, eps: Fraction, tape: RandomTape, scope: str
-) -> tuple[Block, ...]:
-    """The blocks of one call computing GIP of the given rows, err <= eps:
-    every repetition of a block draws a mask within the block's budget."""
+@lru_cache(maxsize=1024)
+def _mask_labels(scope: str, block: int, reps: int) -> tuple[str, ...]:
+    """The mask labels of one block's repetitions, which no trial changes."""
+    return tuple(mask_label(scope, block, r) for r in range(reps))
+
+
+def _add_gip_call(
+    plan: _Plan, call: int, row_ids: Sequence[int], k: int, eps: Fraction,
+    tape: RandomTape, scope: str,
+) -> None:
+    """Add to ``plan`` the blocks of one call computing GIP of the given
+    rows, err <= eps: every repetition of a block draws a mask within the
+    block's budget."""
     lay = layout("gip", len(row_ids), k, eps)
-    out = []
     for b, (start, stop, ell, space) in enumerate(lay.blocks):
-        ranks = [tape.randbelow(mask_label(scope, b, r), space) for r in range(lay.reps)]
-        draws = tuple(gip_patterns(k, ell, rank) for rank in ranks)
-        out.append(Block(tuple(row_ids[start:stop]), k, draws))
-    return tuple(out)
+        draws = [gip_patterns(k, ell, tape.randbelow(label, space))
+                 for label in _mask_labels(scope, b, lay.reps)]
+        plan.add(call, tuple(row_ids[start:stop]), k, draws)
 
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -408,8 +429,9 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     lay = layout("gip", n, k, eps)
 
     def plan(tape: RandomTape) -> _Plan:
-        blocks = _gip_blocks(range(n), k, eps, tape, "")
-        return _Plan(calls=(blocks,), q=2, decide=lambda calls: calls[0])
+        out = _Plan(q=2, calls=1, decide=lambda calls: calls[0])
+        _add_gip_call(out, 0, range(n), k, eps, tape, "")
+        return out
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
 
@@ -477,13 +499,14 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
         return int(calls.count(0) >= DISJ_ZERO_THRESHOLD * trials)
 
     def plan(tape: RandomTape) -> _Plan:
-        calls = []
+        out = _Plan(q=2, calls=trials, decide=decide)
         for t in range(trials):
             picks = tape.bitvector(subset_label(t), n)
             rows = tuple(i for i in range(n) if picks[i])
             # an empty subset is a call without blocks, whose gip is 0
-            calls.append(_gip_blocks(rows, k, DISJ_SUBCALL_ERROR, tape, f"disj/t{t}/") if rows else ())
-        return _Plan(calls=tuple(calls), q=2, decide=decide)
+            if rows:
+                _add_gip_call(out, t, rows, k, DISJ_SUBCALL_ERROR, tape, f"disj/t{t}/")
+        return out
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
 
@@ -647,13 +670,11 @@ def mod3_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     lay = layout("mod3", n, k, eps)
 
     def plan(tape: RandomTape) -> _Plan:
-        out = []
+        out = _Plan(q=3, calls=1, decide=lambda calls: int(calls[0] == 0))
         for b, (start, stop, k_eff, space) in enumerate(lay.blocks):
-            draws = []
-            for r in range(lay.reps):
-                point = tape.randbelow(point_label(b, r), space)
-                draws.append(mod3_message_tables(point, k_eff))
-            out.append(Block(tuple(range(start, stop)), k_eff, tuple(draws)))
-        return _Plan(calls=(tuple(out),), q=3, decide=lambda calls: int(calls[0] == 0))
+            draws = [mod3_message_tables(tape.randbelow(point_label(b, r), space), k_eff)
+                     for r in range(lay.reps)]
+            out.add(0, tuple(range(start, stop)), k_eff, draws)
+        return out
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)

@@ -446,6 +446,22 @@ def test_sweep_refuses_n_or_k_below_one(n_list, k_list, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flag, other, value, words", [
+    ("--n-list", "--k-list", ",", "no values in ','"),
+    ("--n-list", "--k-list", "4,x", "'x' is not an integer"),
+    ("--k-list", "--n-list", " , ", "no values in ' , '"),
+    ("--k-list", "--n-list", "3,1.5", "'1.5' is not an integer"),
+])
+def test_sweep_refuses_an_empty_or_non_integer_grid_flag(flag, other, value, words, fmt, capsys):
+    code = main(["sweep", "--protocol", "gip", flag, value, other, "4", "--trials", "1",
+                 "--format", fmt])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {flag}: {words}"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["disc", "--fn", "gip", "--n", "1", "--k", "2", "--format", "csv"],
     ["exact-error", "--protocol", "gip", "--matrix", "x.txt", "--format", "json"],

@@ -147,13 +147,6 @@ def test_transcript_player_bits_concatenates_in_order():
     assert t.cost_bits == 5
 
 
-def test_transcript_pieces_cut_each_player_in_declared_order():
-    t = Transcript(entries=((1, "10"), (2, "011"), (1, "11")))
-    assert t.pieces([(2, 1), (1, 3), (2, 0), (2, 2), (1, 1)]) == ["0", "101", "", "11", "1"]
-    with pytest.raises(ValueError, match="shorter"):
-        t.pieces([(2, 2), (2, 2)])
-
-
 def test_plurality_is_majority_for_odd_binary_votes():
     for t in (1, 3, 5, 7):
         for code in range(1 << t):

@@ -31,6 +31,9 @@ The benchmark's traced run wraps package functions by name, so every
 SITES and BUILDERS) names must resolve in the package. That table is read
 with ``ast``, never imported or edited.
 
+The tape is the one source of shared randomness: under ``src/nofkit`` only
+``tape.py`` imports ``hashlib``, so no plan hashes labels on the side.
+
 A run's only randomness is its tape, and ``tape.sub`` is the one way to
 separate runs: no package function takes a parameter named ``ns``, and every
 rule of the five built-in specs (the three protocol builders and verify's
@@ -213,9 +216,9 @@ def test_no_module_decodes_the_whole_domain_code_by_code(module):
     assert whole_domain_decodes(module.read_text()) == []
 
 
-def scipy_imports(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, or "<module>", line) of every import of ``scipy``
-    or a ``scipy.*`` module."""
+def imports_of(source: str, name: str) -> list[tuple[str, int]]:
+    """(enclosing function, or "<module>", line) of every import of module
+    ``name`` or a submodule of it; relative imports are the package's own."""
     found = []
 
     def visit(node: ast.AST, scope: str):
@@ -229,7 +232,7 @@ def scipy_imports(source: str) -> list[tuple[str, int]]:
                 names = [child.module or ""]
             else:
                 names = []
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            if any(n == name or n.startswith(name + ".") for n in names):
                 found.append((scope, child.lineno))
             visit(child, scope)
 
@@ -268,13 +271,15 @@ def test_scipy_scans_find_each_import_with_its_scope_and_each_fallback():
         "except ValueError:\n"
         "    pass\n"
     )
-    assert scipy_imports(source) == [("<module>", 1), ("<module>", 2), ("interval", 6), ("inner", 8)]
+    assert imports_of(source, "scipy") == [
+        ("<module>", 1), ("<module>", 2), ("interval", 6), ("inner", 8)]
     assert import_error_handlers(source) == [11, 13]
 
 
 def test_scipy_is_imported_only_inside_clopper_pearson():
     found = {
-        module.name: scipy_imports(module.read_text()) for module in sorted(PACKAGE.glob("*.py"))
+        module.name: imports_of(module.read_text(), "scipy")
+        for module in sorted(PACKAGE.glob("*.py"))
     }
     found = {name: [scope for scope, _ in hits] for name, hits in found.items() if hits}
     assert found == {"harness.py": ["clopper_pearson"]}
@@ -283,6 +288,25 @@ def test_scipy_is_imported_only_inside_clopper_pearson():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_falls_back_on_an_import_error(module):
     assert import_error_handlers(module.read_text()) == []
+
+
+def test_import_scan_finds_hashlib_at_any_depth_and_spares_lookalikes():
+    source = (
+        "import hashlib\n"
+        "from hashlib import blake2b\n"
+        "import hashlibx, os\n"
+        "from .hashlib import thing\n"
+        "def draw():\n"
+        "    import os, hashlib as h\n"
+        "x = 'import hashlib'\n"
+    )
+    assert imports_of(source, "hashlib") == [("<module>", 1), ("<module>", 2), ("draw", 6)]
+
+
+def test_only_the_tape_imports_hashlib():
+    found = [module.name for module in sorted(PACKAGE.glob("*.py"))
+             if imports_of(module.read_text(), "hashlib")]
+    assert found == ["tape.py"]
 
 
 LAYOUT_RULES = {"_partition_rows", "active_budget", "smallest_odd_majority"}

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from nofkit.core import run
 from nofkit.matrices import InputMatrix, View
 from nofkit.protocols import (
+    _Plan,
     _partition_rows,
-    block_piece,
+    _plan_message,
     expand_parity_poly,
-    fold_rows,
     mod3_message_tables,
     mod3_params,
     mod3_protocol,
@@ -74,10 +74,12 @@ def reference_message(view, rows, items, k_eff):
 
 
 def piece(view, rows, tables, player, k_eff):
-    """The protocol's piece for one block and point: the block's rows as the
-    player sees them, folded to k_eff, through the per-block evaluator."""
-    folded = fold_rows([view.masked_row(r) for r in rows], k_eff)
-    return block_piece(3, folded, tables[player], player)
+    """The protocol's piece for one block and point: the player's message
+    under a plan of one block over these rows, read at k_eff, with one
+    repetition at this point."""
+    plan = _Plan(q=3, calls=1, decide=lambda calls: int(calls[0] == 0))
+    plan.add(0, rows, k_eff, [tables])
+    return _plan_message(player, view, (), plan)
 
 
 def test_closed_form_coefficients_match_multiply_out():

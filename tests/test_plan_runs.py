@@ -24,7 +24,9 @@ from nofkit.protocols import (
     DISJ_ZERO_THRESHOLD,
     InfeasibleParameters,
     MaskVector,
+    _Plan,
     _partition_rows,
+    _piece_values,
     disj_params,
     disj_protocol,
     gip_base_outcome,
@@ -47,7 +49,15 @@ def spec(name, n, k):
 
 
 def random_input(rng, n, k):
-    return InputMatrix(k=k, rows=tuple(int(r) for r in rng.integers(0, 1 << k, size=n)))
+    """Uniform rows below 2^63; a wider row is all ones but for 0, 1 or 2
+    random zero columns, so that it still meets the masks' patterns."""
+    if k < 63:
+        return InputMatrix(k=k, rows=tuple(int(r) for r in rng.integers(0, 1 << k, size=n)))
+    rows = []
+    for _ in range(n):
+        zeros = rng.choice(k, size=int(rng.integers(0, 3)), replace=False)
+        rows.append(((1 << k) - 1) & ~sum(1 << int(c) for c in zeros))
+    return InputMatrix(k=k, rows=tuple(rows))
 
 
 def count_draws(monkeypatch):
@@ -149,7 +159,8 @@ def assert_matches_reference(name, x, tape):
 
 
 @pytest.mark.parametrize("name, n, k, runs", [("gip", 16, 4, 8), ("gip", 40, 16, 4),
-                                               ("disj", 16, 16, 3), ("disj", 8, 3, 8)])
+                                               ("disj", 16, 16, 3), ("disj", 8, 3, 8),
+                                               ("gip", 6, 70, 8), ("disj", 5, 70, 3)])
 def test_gip_and_disj_pieces_match_the_reference_on_seeded_samples(name, n, k, runs):
     rng = np.random.default_rng(43)
     master = RandomTape(master_seed=11)
@@ -195,6 +206,37 @@ def test_a_run_reads_each_view_row_at_most_once_per_call(name, n, k, monkeypatch
     tape = RandomTape(master_seed=5)
     run(p, x, tape)
     plan = p.plan(tape)
-    speakers = {i for blocks in plan.calls for block in blocks for draw in block.draws for i in draw}
+    speakers = set(plan.speakers)
     assert max(reads.values()) == 1
     assert {player for player, _ in reads} == speakers
+
+
+@pytest.mark.parametrize("name, n, k", [("gip", 16, 4), ("disj", 8, 3), ("mod3", 6, 4)])
+def test_the_output_rule_refuses_a_transcript_shorter_than_its_plan(name, n, k):
+    # q = 2 (gip, disj) and q = 3 (mod3): one bit short, or a speaker missing
+    p = spec(name, n, k)
+    tape = RandomTape(master_seed=8)
+    entries = run(p, random_input(np.random.default_rng(k), n, k), tape).transcript.entries
+    player, bits = entries[-1]
+    for short in (entries[:-1] + ((player, bits[:-1]),), entries[:-1]):
+        with pytest.raises(ValueError, match="shorter"):
+            p.output_rule(Transcript(entries=short), p.plan(tape))
+
+
+def interleaved_plan(q):
+    """Six pieces that alternate between players 2 and 1: draws {2}, {1, 2},
+    {1} and {2, 1} of one block, so player 2 speaks first."""
+    plan = _Plan(q=q, calls=1, decide=lambda calls: calls[0])
+    plan.add(0, (0,), 2, [{2: 0}, {1: 0, 2: 0}, {1: 0}, {2: 0, 1: 0}])
+    return plan
+
+
+def test_piece_values_cut_each_speaker_in_its_entries_order():
+    # three pieces per player, player 2's first; a player's bits may span
+    # several entries and run past its pieces
+    t = Transcript(entries=((1, "10"), (2, "011"), (1, "11")))
+    assert _piece_values(t, interleaved_plan(2)).tolist() == [0, 1, 1, 1, 0, 1]
+    t = Transcript(entries=((1, "1000"), (2, "011000"), (1, "01")))
+    assert _piece_values(t, interleaved_plan(3)).tolist() == [1, 2, 0, 2, 0, 1]
+    with pytest.raises(ValueError, match="shorter"):
+        _piece_values(Transcript(entries=((1, "1000"), (2, "01100"))), interleaved_plan(3))

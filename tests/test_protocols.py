@@ -6,12 +6,14 @@ import pytest
 from nofkit.combinatorics import binom_leq
 from nofkit.core import run
 from nofkit.functions import eval_disj, eval_gip, eval_mod3xor
-from nofkit.matrices import InputMatrix
+from nofkit.matrices import InputMatrix, View
 from nofkit.protocols import (
     InfeasibleParameters,
     MaskVector,
+    _Plan,
+    _mask_labels,
+    _plan_message,
     active_budget,
-    block_piece,
     ceil_log2,
     disj_params,
     disj_protocol,
@@ -30,7 +32,6 @@ from nofkit.protocols import (
     mod3_params,
     mod3_protocol,
     monomial_partition,
-    odd_rows,
     parity_poly_eval,
 )
 from nofkit.tape import RandomTape
@@ -148,27 +149,24 @@ def test_gip_base_wrong_only_on_odd_collisions():
 
 
 def test_lookup_piece_equals_the_broadcast_scan_exhaustively():
-    # every mask, every speaker and every input with n*k <= 9: the pattern's
-    # membership in the odd masked rows is the scanned broadcast bit
+    # every mask, every speaker and every input with n*k <= 9: a one-block
+    # plan with every mask as one repetition gives, in each player's
+    # message, the scanned broadcast bit of every mask the player speaks in
     for n in range(1, 10):
         for k in range(1, 9 // n + 1):
-            masks = [(m.zero_positions, gip_patterns(k, k, rank))
-                     for rank, m in enumerate(enumerate_masks(k, k))]
+            masks = [m.zero_positions for m in enumerate_masks(k, k)]
+            plan = _Plan(q=2, calls=1, decide=lambda calls: calls[0])
+            plan.add(0, tuple(range(n)), k, [gip_patterns(k, k, r) for r in range(len(masks))])
             for code in range(1 << (n * k)):
-                rows = InputMatrix.from_code(n, k, code).rows
+                x = InputMatrix.from_code(n, k, code)
                 for z in range(1, k + 1):
-                    masked = [r & ~(1 << (z - 1)) for r in rows]
-                    odd = odd_rows(masked)
-                    for zeros, patterns in masks:
-                        if z in zeros:
-                            want = gip_broadcast_bit(masked, zeros, zeros.index(z) + 1, k)
-                            assert block_piece(2, odd, patterns[z], z) == str(want), (code, zeros, z)
-
-
-def test_odd_rows_keeps_the_values_of_odd_multiplicity():
-    assert odd_rows([]) == set()
-    assert odd_rows([5, 3, 5, 7, 3, 3]) == {3, 7}
-    assert odd_rows([1, 2, 4]) == {1, 2, 4}
+                    masked = [r & ~(1 << (z - 1)) for r in x.rows]
+                    want = "".join(
+                        str(gip_broadcast_bit(masked, zeros, zeros.index(z) + 1, k))
+                        for zeros in masks
+                        if z in zeros
+                    )
+                    assert _plan_message(z, View(x, z), (), plan) == want, (code, z)
 
 
 def test_gip_patterns_match_the_mask_zero_positions():
@@ -184,7 +182,7 @@ def test_gip_patterns_match_the_mask_zero_positions():
 
 
 def test_the_mask_and_layout_memos_are_bounded():
-    for memo in (gip_patterns, layout):
+    for memo in (gip_patterns, _mask_labels, layout):
         assert memo.cache_info().maxsize is not None
 
 
@@ -201,7 +199,7 @@ def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
     monkeypatch.setattr(MaskVector, "from_rank", classmethod(counted))
     gip_patterns.cache_clear()
     plan = p.plan(RandomTape(3))
-    draws = sum(len(block.draws) for blocks in plan.calls for block in blocks)
+    draws = plan.draws
     assert binom_leq(256, 2) == 32897
     assert 1 <= len(unranked) <= draws
     assert gip_patterns.cache_info().currsize <= draws

@@ -132,6 +132,19 @@ def test_mod3_transcripts_are_pinned(n, k, want):
     assert digest(runs) == want
 
 
+def random_rows(rng, n, k):
+    """n uniform rows below 2^63. A wider row is all ones but for 0, 1 or 2
+    distinct random zero columns, so that it still meets the masks' patterns
+    and the all-ones rows that gip counts and disj looks for."""
+    if k < 63:
+        return tuple(int(r) for r in rng.integers(0, 1 << k, size=n))
+    rows = []
+    for _ in range(n):
+        zeros = rng.choice(k, size=int(rng.integers(0, 3)), replace=False)
+        rows.append(((1 << k) - 1) & ~sum(1 << int(c) for c in zeros))
+    return tuple(rows)
+
+
 @pytest.mark.parametrize(
     "build, n, k, want",
     [
@@ -139,6 +152,8 @@ def test_mod3_transcripts_are_pinned(n, k, want):
         (gip_protocol, 16, 4, "309a428a30db80ea"),  # 4 blocks x 39 repetitions
         (disj_protocol, 16, 16, "7fe278e599b7b70f"),  # one-block subcalls
         (disj_protocol, 8, 3, "6f5796b994490f66"),  # blocked subcalls
+        (gip_protocol, 6, 70, "1be5422155450ad7"),  # rows wider than one machine word
+        (disj_protocol, 5, 70, "15b96775e1b522ab"),
     ],
 )
 def test_gip_disj_transcripts_are_pinned(build, n, k, want):
@@ -147,7 +162,7 @@ def test_gip_disj_transcripts_are_pinned(build, n, k, want):
     master = RandomTape(master_seed=2026)
     runs = []
     for t in range(50):
-        x = InputMatrix(k=k, rows=tuple(int(r) for r in rng.integers(0, 1 << k, size=n)))
+        x = InputMatrix(k=k, rows=random_rows(rng, n, k))
         outcome = run(protocol, x, master.sub(f"run{t}"))
         runs.append([[list(e) for e in outcome.transcript.entries], outcome.output])
     assert digest(runs) == want

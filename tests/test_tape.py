@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nofkit import tape
 from nofkit.tape import RandomTape, _digest
 
 
@@ -81,6 +82,32 @@ def test_digest_equals_a_freshly_keyed_blake2b():
             for label in ("", "sub:trial0", f"rank#{seed % 7}", "\u00e9@3"):
                 fresh = hashlib.blake2b(label.encode(), digest_size=size, key=key).digest()
                 assert _digest(seed, label, size) == fresh, (seed, size, label)
+
+
+def chained_randbelow(seed: int, label: str, bound: int) -> int:
+    """randbelow as first written: chain freshly keyed 32-byte digests of
+    label#0, label#1, ... until they hold 192 bits more than the bound."""
+    key = seed.to_bytes(8, "little")
+    counter, acc = 0, b""
+    while 8 * len(acc) < bound.bit_length() + 192:
+        acc += hashlib.blake2b(f"{label}#{counter}".encode(), digest_size=32, key=key).digest()
+        counter += 1
+    return int.from_bytes(acc, "little") % bound
+
+
+@pytest.mark.parametrize("bound", [2, 137, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1,
+                                   1 << 200, 1 << 300])
+def test_randbelow_equals_the_chained_digest_loop(bound, monkeypatch):
+    for seed in (0, 1, 2026, (1 << 64) - 1):
+        t = RandomTape(seed)
+        for label in ("gip/b0/r0/mask", "disj/t15/gip/b0/r20/mask", "mod3/b1/r8/point", "",
+                      "\u00e9#1"):
+            assert t.randbelow(label, bound) == chained_randbelow(seed, label, bound), (seed, label)
+    # one digest below 2^64, two from 2^64 to 2^320
+    digests = []
+    monkeypatch.setattr(tape, "_digest", lambda *args: digests.append(args) or _digest(*args))
+    RandomTape(5).randbelow("x", bound)
+    assert len(digests) == (1 if bound < 1 << 64 else 2)
 
 
 def test_tape_pickles_to_an_equal_tape():
