@@ -6,7 +6,7 @@ carries an explicit tolerance.
 
 ``unrank_band_row`` is the one rank -> row kernel: the shared mask of the
 parity protocol (``MaskVector.from_rank``) and the row law of the hard
-distributions (``distributions._row_with_zero_count_range``) both draw a
+distributions (``DistributionSpec.sample``) both draw a
 rank and unrank it here, and ``unrank_combination`` shares its walk. The
 zero count is one bisection over cumulative counts; the positions are read
 off a Pascal table (at most 256 rows by 128 columns, grown by additions up

@@ -66,6 +66,11 @@ class ProtocolSpec:
     plan, when set, builds the input-independent part of one run (the shared
     draws of a public-coin protocol) from the tape. run() builds it once,
     and the rules receive it where callback protocols receive the tape.
+
+    direct_vote, when set, maps (plan, input) to the (output, cost_bits)
+    that run() gives on the same plan, without building any message: the
+    fast trial path of a harness that keeps nothing else of a run. run()
+    stays the oracle it is tested against.
     """
 
     n: int
@@ -77,6 +82,7 @@ class ProtocolSpec:
     length_rule: Optional[LengthRule] = None
     cost_ceiling: Optional[int] = None
     plan: Optional[Callable[[RandomTape], Any]] = None
+    direct_vote: Optional[Callable[[Any, InputMatrix], tuple[int, int]]] = None
 
 
 def rule_context(p: ProtocolSpec, tape: RandomTape) -> Any:
@@ -86,7 +92,13 @@ def rule_context(p: ProtocolSpec, tape: RandomTape) -> Any:
 
 
 def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape) -> ProtocolOutcome:
-    """Execute one protocol instance. Pure in (p, x, tape)."""
+    """Execute one protocol instance. Pure in (p, x, tape).
+
+    This is the scalar path and the oracle of every fast one: simulate's
+    trials take ``p.direct_vote`` where the spec sets one (gip and disj),
+    which must give this run's output and cost_bits. mod3 trials still run
+    here; they join once the benchmark's traced pass stops pinning their
+    run and message counts."""
     if x.n != p.n or x.k != p.k:
         raise ValueError(f"input is {x.n}x{x.k}, protocol wants {p.n}x{p.k}")
     ctx = rule_context(p, tape)

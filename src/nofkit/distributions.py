@@ -78,10 +78,21 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
     return int.from_bytes(rng.bytes(nbytes), "little") % bound
 
 
-def _row_with_zero_count_range(rng, k: int, jmin: int, jmax: int) -> int:
-    """Uniform row with between jmin and jmax zero entries: one uniform rank
-    over the band, unranked by the shared ``combinatorics.unrank_band_row``."""
-    return unrank_band_row(k, jmin, jmax, _randbelow(rng, band_size(k, jmin, jmax)))
+def _randbelow_each(rng: np.random.Generator, bound: int, count: int) -> list[int]:
+    """``count`` successive ``_randbelow(rng, bound)`` draws from one
+    Generator call, with the values and the generator's state after the
+    per-draw ones: a bounded ``integers`` call fills its array one draw after
+    another, and ``rng.bytes(m)`` takes the next ceil(m / 4) words of the
+    32-bit stream and keeps m bytes."""
+    if bound == 1:
+        return [0] * count
+    if bound <= 1 << 63:
+        return rng.integers(bound, size=count).tolist()
+    nbytes = (bound.bit_length() + 64 + 7) // 8
+    words = (nbytes + 3) // 4
+    raw = rng.integers(0, 1 << 32, size=words * count, dtype=np.uint32).astype("<u4").tobytes()
+    step = 4 * words
+    return [int.from_bytes(raw[j : j + nbytes], "little") % bound for j in range(0, step * count, step)]
 
 
 def _row_with_parity(rng, k: int, parity: int) -> int:
@@ -173,10 +184,13 @@ class DistributionSpec:
             # the mixture's coin comes before the planted position
             planted = plant == 1 or (plant > 0 and _randbelow(rng, 2) == 1)
             special = _randbelow(rng, n) if planted else -1
+            # a free row is one int below 2^k - 1, or a band rank unranked by
+            # the shared ``combinatorics.unrank_band_row``
+            draws = iter(_randbelow_each(rng, full if plain else band_size(k, lo, hi), n - planted))
             rows = [
                 full if i == special
-                else _randbelow(rng, full) if plain
-                else _row_with_zero_count_range(rng, k, lo, hi)
+                else next(draws) if plain
+                else unrank_band_row(k, lo, hi, next(draws))
                 for i in range(n)
             ]
         return InputMatrix(k=k, rows=tuple(rows))

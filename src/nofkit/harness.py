@@ -164,7 +164,13 @@ def _trial_setup(cfg: ExperimentConfig, eps: Fraction) -> tuple[Callable, Option
 
 
 def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
-    """Trials [start, stop) folded into one Tally; top-level so process pools pickle it."""
+    """Trials [start, stop) folded into one Tally; top-level so process pools pickle it.
+
+    A trial keeps only a run's output and cost. gip and disj specs set a
+    direct vote (``protocols.plan_outcome``), which reads both off the plan
+    and the input without building a transcript; mod3 runs through
+    ``core.run``, whose per-message work the benchmark's traced pass still
+    counts."""
     eps = parse_eps(cfg.eps)
     master = RandomTape(master_seed=cfg.seed)
     evaluate = REFERENCE[cfg.protocol]
@@ -180,8 +186,12 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
         if ell is not None:
             tally = _exact_y_trial(x, ell, e)
         else:
-            outcome = run(protocol, x, tape)
-            tally = Tally(1, int(outcome.output != evaluate(x)), outcome.cost_bits, outcome.cost_bits)
+            if protocol.direct_vote is not None:
+                output, cost = protocol.direct_vote(protocol.plan(tape), x)
+            else:
+                outcome = run(protocol, x, tape)
+                output, cost = outcome.output, outcome.cost_bits
+            tally = Tally(1, int(output != evaluate(x)), cost, cost)
         return tally if e is None else tally._replace(exact_sum=e, exact_max=e)
 
     return fold(map(trial, range(start, stop)))

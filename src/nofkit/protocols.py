@@ -4,15 +4,18 @@ All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
 alone, never from the input. Each spec's ``plan`` describes one run as flat
 data, built in one pass over the layout and the tape: its row blocks (row
-ids, width, call, rows as a bitmask, draw indices) and, per speaker, the
-pieces it sends in speaking order, each with its draw, block and share.
+ids, width, call, draw indices and each draw's speakers with their shares).
 ``core.run`` builds it once per run and hands it to one message, one length
-and one output rule shared by all three protocols, which read nothing else;
-that keeps the transcript splittable and the declared cost ceilings honest.
-The output rule decodes each speaker's bits once and sums the pieces per
-draw with one ``np.bincount``. What (n, k, eps) alone fixes of a run is one
-memoized ``Layout`` record from ``layout``: the plans, the cost ceilings,
-the ``*_params`` views and the harness all read it.
+and one output rule shared by all three protocols, which read nothing else
+(the speakers' pieces in speaking order come from an index the plan builds
+on first read); that keeps the transcript splittable and the declared cost
+ceilings honest. The output rule decodes each speaker's bits once and sums
+the pieces per draw with one ``np.bincount``. gip and disj also set a
+direct vote, ``plan_outcome``: the same output and cost read off the same
+plan and the whole input, with no transcript, for trials that keep nothing
+else. What (n, k, eps) alone fixes of a run is one memoized ``Layout``
+record from ``layout``: the plans, the cost ceilings, the ``*_params``
+views and the harness all read it.
 
 gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 the players sitting at the zero positions each broadcast one
@@ -45,7 +48,8 @@ mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import compress
 from fractions import Fraction
 from math import ceil, log
 from typing import Callable, Optional, Sequence, Union
@@ -133,18 +137,23 @@ Draw = dict[int, Share]
 _GF3_BITS = ("00", "01", "10")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One row block of a voted call: its row ids, the width its rows are
     read at (k for gip, the folded k_eff for mod3), the call it belongs to,
-    its rows as a bitmask (bit r for row r) and the indices of its draws,
-    one per repetition."""
+    the indices of its draws and, per draw (one per repetition), its
+    speakers in speaking order with their shares."""
 
     rows: tuple[int, ...]
     width: int
     call: int
-    mask: int
     draws: range
+    shares: tuple[Draw, ...]
+
+    @cached_property
+    def mask(self) -> int:
+        """The rows as a bitmask, bit r for row r."""
+        return sum(1 << r for r in self.rows)
 
 
 @dataclass
@@ -153,15 +162,14 @@ class _Plan:
     ``add``: the field Z_q a repetition sums in, the number of calls (one
     for gip and mod3, one per row subset for disj; a call without blocks has
     value 0) and decide, the output from the per-call values. Every speaker
-    of every draw sends one piece of ``bits`` bits, and ``speakers`` holds
-    per speaker its (draw, block, share) entries in (call, block,
-    repetition) order, the order of its message."""
+    of every draw sends one piece of ``bits`` bits. Two readers share it:
+    the scalar rules, through the ``speakers`` index, and ``plan_outcome``,
+    the direct vote of q = 2 plans, through the blocks alone."""
 
     q: int
     calls: int
     decide: Callable[[list[int]], int]
     blocks: list[Block] = field(default_factory=list)
-    speakers: dict[int, list[tuple[int, Block, Share]]] = field(default_factory=dict)
     draws: int = 0
 
     @property
@@ -175,15 +183,22 @@ class _Plan:
         tables (``mod3_message_tables``)."""
         first = self.draws
         self.draws += len(draws)
-        block = Block(rows, width, call, sum(1 << r for r in rows), range(first, self.draws))
-        self.blocks.append(block)
-        speakers = self.speakers
-        for d, draw in enumerate(draws, first):
-            for i, share in draw.items():
-                entries = speakers.get(i)
-                if entries is None:
-                    entries = speakers[i] = []
-                entries.append((d, block, share))
+        self.blocks.append(Block(rows, width, call, range(first, self.draws), tuple(draws)))
+
+    @cached_property
+    def speakers(self) -> dict[int, list[tuple[int, Block, Share]]]:
+        """Per speaker, its (draw, block, share) entries in (call, block,
+        repetition) order, the order of its message; built on first read,
+        once the plan is complete."""
+        speakers: dict[int, list[tuple[int, Block, Share]]] = {}
+        for block in self.blocks:
+            for d, draw in zip(block.draws, block.shares):
+                for i, share in draw.items():
+                    entries = speakers.get(i)
+                    if entries is None:
+                        entries = speakers[i] = []
+                    entries.append((d, block, share))
+        return speakers
 
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
@@ -249,6 +264,32 @@ def _plan_output(transcript: Transcript, plan: _Plan) -> int:
     for block in plan.blocks:
         calls[block.call] += plurality(reps[block.draws.start : block.draws.stop], q)
     return plan.decide([value % q for value in calls])
+
+
+def plan_outcome(plan: _Plan, x: InputMatrix) -> tuple[int, int]:
+    """(output, cost_bits) of ``core.run`` on a q = 2 plan, read off the
+    input without a transcript. Speaker i's masked rows equal its pattern p
+    exactly where the row is p or p with column i set, so its piece is
+    m(p) + m(p | 1 << (i-1)) mod 2, with m a block's multiplicity of each
+    row value. The vote is ``_plan_output``'s, and every piece costs
+    ``plan.bits`` bits."""
+    rows = x.rows
+    calls = [0] * plan.calls
+    pieces = 0
+    for block in plan.blocks:
+        m: dict[int, int] = {}
+        for r in block.rows:
+            v = rows[r]
+            m[v] = m.get(v, 0) + 1
+        reps = []
+        for draw in block.shares:
+            value = 0
+            for i, p in draw.items():
+                value += m.get(p, 0) + m.get(p | 1 << (i - 1), 0)
+            reps.append(value & 1)
+            pieces += len(draw)
+        calls[block.call] += plurality(reps, 2)
+    return plan.decide([value & 1 for value in calls]), plan.bits * pieces
 
 
 # the fixed part of the three specs: simultaneous, public-coin, and every
@@ -375,7 +416,7 @@ def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k
     return cnt
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
     """The speakers of the mask of this rank, in zero-position order, each
     with the one masked row its broadcast bit counts. A masked row passes
@@ -407,9 +448,8 @@ def _add_gip_call(
     block's budget."""
     lay = layout("gip", len(row_ids), k, eps)
     for b, (start, stop, ell, space) in enumerate(lay.blocks):
-        draws = [gip_patterns(k, ell, tape.randbelow(label, space))
-                 for label in _mask_labels(scope, b, lay.reps)]
-        plan.add(call, tuple(row_ids[start:stop]), k, draws)
+        ranks = tape.randbelow_each(_mask_labels(scope, b, lay.reps), space)
+        plan.add(call, tuple(row_ids[start:stop]), k, [gip_patterns(k, ell, r) for r in ranks])
 
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
@@ -433,7 +473,7 @@ def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
         _add_gip_call(out, 0, range(n), k, eps, tape, "")
         return out
 
-    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling, direct_vote=plan_outcome)
 
 
 def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
@@ -502,13 +542,13 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
         out = _Plan(q=2, calls=trials, decide=decide)
         for t in range(trials):
             picks = tape.bitvector(subset_label(t), n)
-            rows = tuple(i for i in range(n) if picks[i])
+            rows = tuple(compress(range(n), picks))
             # an empty subset is a call without blocks, whose gip is 0
             if rows:
                 _add_gip_call(out, t, rows, k, DISJ_SUBCALL_ERROR, tape, f"disj/t{t}/")
         return out
 
-    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling)
+    return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling, direct_vote=plan_outcome)
 
 
 # ---------------------------------------------------------------------------

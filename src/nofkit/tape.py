@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a bit string's characters to its bits
 
 
 @lru_cache(maxsize=64)
@@ -31,6 +33,32 @@ def _digest(seed: int, label: str, size: int = 32) -> bytes:
     h = _keyed(seed, size).copy()
     h.update(label.encode())
     return h.digest()
+
+
+def _below_each(seed: int, labels: Sequence[str], bound: int) -> list[int]:
+    """``randbelow``'s draw of each label, the one implementation behind it
+    and ``randbelow_each``: the keyed state is looked up once, and every
+    digest copies it."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    if bound == 1:
+        return [0] * len(labels)
+    count = (bound.bit_length() + 192 + 255) // 256
+    keyed = _keyed(seed, 32)
+    out = []
+    for label in labels:
+        if count == 1:
+            h = keyed.copy()
+            h.update(f"{label}#0".encode())
+            acc = h.digest()
+        else:
+            acc = b""
+            for c in range(count):
+                h = keyed.copy()
+                h.update(f"{label}#{c}".encode())
+                acc += h.digest()
+        out.append(int.from_bytes(acc, "little") % bound)
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,29 +84,26 @@ class RandomTape:
         mod bound, so the bias is below 2**-192. A bound below 2**64 takes
         exactly one digest.
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        count = (bound.bit_length() + 192 + 255) // 256
-        if count == 1:
-            acc = _digest(self.master_seed, label + "#0")
-        else:
-            acc = b"".join(_digest(self.master_seed, f"{label}#{c}") for c in range(count))
-        return int.from_bytes(acc, "little") % bound
+        return _below_each(self.master_seed, (label,), bound)[0]
+
+    def randbelow_each(self, labels: Sequence[str], bound: int) -> list[int]:
+        """``[self.randbelow(label, bound) for label in labels]``, drawn with
+        one lookup of the keyed state for the whole batch."""
+        return _below_each(self.master_seed, labels, bound)
 
     def bitvector(self, label: str, count: int) -> tuple[int, ...]:
-        """``count`` independent fair bits."""
+        """``count`` independent fair bits: bit i is bit i % 8 of byte i // 8
+        of the chained digests of ``label@0``, ``label@1``, ..., that is bit
+        i of the little-endian integer they spell."""
         need = (count + 7) // 8
         out = b""
         counter = 0
         while len(out) < need:
             out += _digest(self.master_seed, f"{label}@{counter}", size=min(64, need - len(out) + 8))
             counter += 1
-        bits = []
-        for i in range(count):
-            bits.append((out[i // 8] >> (i % 8)) & 1)
-        return tuple(bits)
+        # a marker bit above the count keeps bin()'s leading zeros
+        word = int.from_bytes(out, "little") & ((1 << count) - 1) | 1 << count
+        return tuple(bin(word)[:2:-1].encode().translate(_BITS))
 
     def stream(self, label: str) -> np.random.Generator:
         """A numpy Generator keyed by (seed, label), for bulk sampling."""

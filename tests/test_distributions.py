@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from nofkit.combinatorics import band_size
 from nofkit.distributions import (
     _NAMES,
-    _row_with_zero_count_range,
+    _randbelow,
+    _randbelow_each,
     make_dist,
     nu_counts,
     parse_dist_string,
@@ -196,9 +197,9 @@ class FixedDraw:
     def __init__(self, value):
         self.value = value
 
-    def integers(self, bound):
+    def integers(self, bound, size=None):
         assert 0 <= self.value < bound
-        return self.value
+        return self.value if size is None else np.full(size, self.value)
 
 
 def test_band_sampler_maps_each_draw_to_its_row_exhaustively():
@@ -212,8 +213,23 @@ def test_band_sampler_maps_each_draw_to_its_row_exhaustively():
                 for zeros in combinations(range(1, k + 1), j)
             ]
             assert band_size(k, jmin, jmax) == len(rows)
+            # one free row of upsilon (band 0..ell) or sigma0_ell (band 1..ell)
+            dist = make_dist("upsilon" if jmin == 0 else "sigma0_ell", 1, k, ell=jmax)
             for r in range(len(rows)):
-                assert _row_with_zero_count_range(FixedDraw(r), k, jmin, jmax) == rows[r]
+                assert dist.sample(FixedDraw(r)).rows == (rows[r],)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 32, 33, 62, 63, 64, 70, 256, 257, 600])
+def test_bulk_row_draws_equal_per_row_draws(k):
+    # sigma's plain rows (below 2^k - 1), uniform's band (2^k) and a narrow
+    # band; the generator must stand where the per-row draws leave it
+    for bound in ((1 << k) - 1, 1 << k, band_size(k, 1, min(k, 3))):
+        for rows in (0, 1, 2, 5, 33):
+            bulk, single = (RandomTape(k).stream(f"rows{rows}") for _ in range(2))
+            bulk.integers(7), single.integers(7)  # start mid-stream
+            want = [_randbelow(single, bound) for _ in range(rows)]
+            assert _randbelow_each(bulk, bound, rows) == want, (bound, rows)
+            assert bulk.integers(1 << 40) == single.integers(1 << 40)
 
 
 def test_samples_match_pmf_frequencies():

@@ -95,6 +95,17 @@ def test_folded_chunks_equal_one_chunk(case, cuts):
     assert parts == _trial_chunk(cfg, 0, FOLD_TRIALS)
 
 
+def test_gip_and_disj_trials_take_the_direct_vote_and_mod3_trials_run(monkeypatch):
+    ran = []
+    real = harness.run
+    monkeypatch.setattr(harness, "run", lambda *args: ran.append(args) or real(*args))
+    for protocol in ("gip", "disj"):
+        simulate(ExperimentConfig(protocol=protocol, n=4, k=3, trials=3, seed=2))
+    assert ran == []
+    simulate(ExperimentConfig(protocol="mod3", n=4, k=3, trials=3, seed=2))
+    assert len(ran) == 3
+
+
 def test_simulate_worker_count_invariance():
     cfg = ExperimentConfig(protocol="mod3", n=4, k=8, trials=30, seed=6)
     assert strip_clock(simulate(cfg, workers=1)) == strip_clock(simulate(cfg, workers=3))

@@ -8,6 +8,7 @@ disj runs from the protocol's own draws and the single-run reference
 """
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from nofkit.combinatorics import binom_leq
 from nofkit.core import Transcript, plurality, run
-from nofkit.matrices import InputMatrix, View, player_view
+from nofkit.harness import PROTOCOL_BUILDERS
+from nofkit.matrices import InputMatrix, View, all_inputs, player_view
 from nofkit.protocols import (
     DEFAULT_ERROR,
     DISJ_SUBCALL_ERROR,
@@ -62,7 +64,7 @@ def random_input(rng, n, k):
 
 def count_draws(monkeypatch):
     counts = {"draws": 0}
-    for name in ("randbelow", "bitvector", "stream"):
+    for name in ("randbelow", "randbelow_each", "bitvector", "stream"):
         real = getattr(RandomTape, name)
 
         def counted(self, *args, _real=real):
@@ -240,3 +242,54 @@ def test_piece_values_cut_each_speaker_in_its_entries_order():
     assert _piece_values(t, interleaved_plan(3)).tolist() == [1, 2, 0, 2, 0, 1]
     with pytest.raises(ValueError, match="shorter"):
         _piece_values(Transcript(entries=((1, "1000"), (2, "01100"))), interleaved_plan(3))
+
+
+# The direct vote is checked against core.run for every protocol simulate
+# builds with one, found by building each at a shape all three serve, so a
+# new fast path joins these tests as soon as its builder sets it.
+DIRECT = [name for name, build in PROTOCOL_BUILDERS.items() if build(4, 3).direct_vote is not None]
+SAMPLED = {"gip": [(16, 4, 8), (6, 70, 8), (256, 256, 2)],
+           "disj": [(16, 16, 3), (8, 3, 8), (5, 70, 3)]}
+
+
+def assert_direct_vote_is_run(p, x, tape):
+    out = run(p, x, tape)
+    assert p.direct_vote(p.plan(tape), x) == (out.output, out.cost_bits)
+
+
+def test_every_direct_vote_has_sampled_shapes():
+    assert {"gip", "disj"} <= set(DIRECT) <= set(SAMPLED)
+
+
+EXHAUSTIVE = [(name, n, k) for name in DIRECT for n in range(1, 9) for k in range(1, 9)
+              if n * k <= 8 and feasible(name, n, k)]
+
+
+@pytest.mark.parametrize("name, n, k", EXHAUSTIVE)
+def test_direct_vote_equals_run_on_every_input(name, n, k):
+    for seed in (0, 1, 2026):
+        tape = RandomTape(master_seed=seed).sub(f"{name}{n}x{k}")
+        # the plan is pure in the tape, so every input's run reuses one build
+        plan = spec(name, n, k).plan(tape)
+        p = replace(spec(name, n, k), plan=lambda _: plan)
+        for x in all_inputs(n, k):
+            assert_direct_vote_is_run(p, x, tape)
+
+
+@pytest.mark.parametrize("name, n, k, runs",
+                         [(name, *shape) for name in DIRECT for shape in SAMPLED.get(name, ())])
+def test_direct_vote_equals_run_on_seeded_samples(name, n, k, runs):
+    rng = np.random.default_rng(47)
+    master = RandomTape(master_seed=13)
+    p = spec(name, n, k)
+    for t in range(runs):
+        assert_direct_vote_is_run(p, random_input(rng, n, k), master.sub(f"{name}{n}x{k}/{t}"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([shape for shape in SMALL if shape[0] in DIRECT]),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_direct_vote_equals_run_property(shape, seed, input_seed):
+    name, n, k = shape
+    x = random_input(np.random.default_rng(input_seed), n, k)
+    assert_direct_vote_is_run(spec(name, n, k), x, RandomTape(master_seed=seed))

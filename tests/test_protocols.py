@@ -184,6 +184,8 @@ def test_gip_patterns_match_the_mask_zero_positions():
 def test_the_mask_and_layout_memos_are_bounded():
     for memo in (gip_patterns, _mask_labels, layout):
         assert memo.cache_info().maxsize is not None
+    # the patterns cover every mask of disj 64 x 64's subcalls, not 256 x 256's
+    assert binom_leq(64, 2) == 2081 <= gip_patterns.cache_info().maxsize < binom_leq(256, 2)
 
 
 def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):

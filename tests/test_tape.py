@@ -98,16 +98,58 @@ def chained_randbelow(seed: int, label: str, bound: int) -> int:
 @pytest.mark.parametrize("bound", [2, 137, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1,
                                    1 << 200, 1 << 300])
 def test_randbelow_equals_the_chained_digest_loop(bound, monkeypatch):
+    labels = ("gip/b0/r0/mask", "disj/t15/gip/b0/r20/mask", "mod3/b1/r8/point", "", "\u00e9#1")
     for seed in (0, 1, 2026, (1 << 64) - 1):
         t = RandomTape(seed)
-        for label in ("gip/b0/r0/mask", "disj/t15/gip/b0/r20/mask", "mod3/b1/r8/point", "",
-                      "\u00e9#1"):
-            assert t.randbelow(label, bound) == chained_randbelow(seed, label, bound), (seed, label)
-    # one digest below 2^64, two from 2^64 to 2^320
+        want = [chained_randbelow(seed, label, bound) for label in labels]
+        assert [t.randbelow(label, bound) for label in labels] == want, seed
+        # the block draw is element-wise the same, whatever the batch holds
+        assert t.randbelow_each(labels, bound) == want, seed
+        assert t.randbelow_each(labels[::-1], bound) == want[::-1], seed
+        assert t.randbelow_each((), bound) == []
+    # one digest below 2^64, two from 2^64 to 2^320: every digest copies the
+    # keyed state once
     digests = []
-    monkeypatch.setattr(tape, "_digest", lambda *args: digests.append(args) or _digest(*args))
+
+    class Counted:
+        def __init__(self, state):
+            self.state = state
+
+        def copy(self):
+            digests.append(1)
+            return self.state.copy()
+
+    real = tape._keyed
+    monkeypatch.setattr(tape, "_keyed", lambda *args: Counted(real(*args)))
     RandomTape(5).randbelow("x", bound)
     assert len(digests) == (1 if bound < 1 << 64 else 2)
+
+
+def looped_bitvector(seed: int, label: str, count: int) -> tuple[int, ...]:
+    """bitvector as first written: chain digests of label@0, label@1, ...
+    and read bit i % 8 of byte i // 8, one expression per bit."""
+    need = (count + 7) // 8
+    out, counter = b"", 0
+    while len(out) < need:
+        out += _digest(seed, f"{label}@{counter}", size=min(64, need - len(out) + 8))
+        counter += 1
+    return tuple((out[i // 8] >> (i % 8)) & 1 for i in range(count))
+
+
+def test_bitvector_equals_the_per_bit_loop():
+    for seed in (0, 3, (1 << 64) - 1):
+        t = RandomTape(seed)
+        for count in [*range(1, 131), 511, 512, 513, 2000]:
+            for label in ("disj/t0/subset", "disj/t15/subset"):
+                assert t.bitvector(label, count) == looped_bitvector(seed, label, count), count
+    assert RandomTape(1).bitvector("x", 0) == ()
+
+
+def test_randbelow_each_refuses_a_bound_below_one():
+    t = RandomTape(3)
+    assert t.randbelow_each(["a", "b"], 1) == [0, 0]
+    with pytest.raises(ValueError):
+        t.randbelow_each(["a"], 0)
 
 
 def test_tape_pickles_to_an_equal_tape():
