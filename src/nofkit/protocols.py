@@ -4,16 +4,16 @@ All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
 alone, never from the input. Each spec's ``plan`` describes one run as flat
 data, built in one pass over the layout and the tape: its row blocks (row
-ids, width, call, draw indices and each draw's speakers with their shares).
-``core.run`` builds it once per run and hands it to one message, one length
-and one output rule shared by all three protocols, which read nothing else
-(the speakers' pieces in speaking order come from an index the plan builds
-on first read); that keeps the transcript splittable and the declared cost
-ceilings honest. The output rule decodes each speaker's bits once and sums
-the pieces per draw with one ``np.bincount``. gip and disj also set a
-direct vote, ``plan_outcome``: the same output and cost read off the same
-plan and the whole input, with no transcript, for trials that keep nothing
-else. What (n, k, eps) alone fixes of a run is one memoized ``Layout``
+ids, width, call and each draw's speakers with their shares). ``core.run``
+builds it once per run and hands it to one message, one length and one
+output rule shared by all three protocols, which read nothing else; that
+keeps the transcript splittable and the declared cost ceilings honest.
+gip and disj also set a direct vote, ``plan_outcome``: the same output and
+cost read off the same plan and the whole input, with no transcript, for
+trials that keep nothing else. Every reader walks the blocks and their
+draws in (call, block, repetition) order, a speaker's message order, and
+the output rule and ``plan_outcome`` both vote through ``_vote``. What
+(n, k, eps) alone fixes of a run is one memoized ``Layout``
 record from ``layout``: the plans, the cost ceilings, the ``*_params``
 views and the harness all read it.
 
@@ -25,15 +25,14 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 block is repeated for a majority vote. A speaker's bit is
                 the multiplicity mod 2 of one pattern among its masked block
                 rows, so the plan holds each speaker's pattern
-                (``gip_patterns``), and a bit is one lookup in a map from
-                masked value to the bitmask of the rows holding it, ANDed
-                with the block's rows, whose popcount parity is the bit.
+                (``gip_patterns``) and the bit counts the pattern there.
 
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
                 disjoint and 1/2 otherwise; declares disjoint when at least
                 3/4 of the subcalls answer zero. A subcall on r rows reads
-                ``layout("gip", r, k, 1/16)``; disj's own record holds the
+                ``layout("gip", r, k, 1/16)``, looked up once per row count
+                and protocol build; disj's own record holds the
                 full-row subcall's blocks, with the trials as its calls.
 
 mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
@@ -48,13 +47,11 @@ mod3_protocol   1 iff the sum of row XORs is divisible by 3. Broadcasts the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import compress
 from fractions import Fraction
 from math import ceil, log
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from .combinatorics import binom_leq, smallest_odd_majority, unrank_band_row
 from .core import ProtocolSpec, Transcript, plurality
@@ -140,20 +137,14 @@ _GF3_BITS = ("00", "01", "10")
 @dataclass(frozen=True, eq=False)
 class Block:
     """One row block of a voted call: its row ids, the width its rows are
-    read at (k for gip, the folded k_eff for mod3), the call it belongs to,
-    the indices of its draws and, per draw (one per repetition), its
-    speakers in speaking order with their shares."""
+    read at (k for gip, the folded k_eff for mod3), the call it belongs to
+    and, per draw (one per repetition), its speakers in speaking order with
+    their shares."""
 
     rows: tuple[int, ...]
     width: int
     call: int
-    draws: range
     shares: tuple[Draw, ...]
-
-    @cached_property
-    def mask(self) -> int:
-        """The rows as a bitmask, bit r for row r."""
-        return sum(1 << r for r in self.rows)
 
 
 @dataclass
@@ -162,15 +153,15 @@ class _Plan:
     ``add``: the field Z_q a repetition sums in, the number of calls (one
     for gip and mod3, one per row subset for disj; a call without blocks has
     value 0) and decide, the output from the per-call values. Every speaker
-    of every draw sends one piece of ``bits`` bits. Two readers share it:
-    the scalar rules, through the ``speakers`` index, and ``plan_outcome``,
-    the direct vote of q = 2 plans, through the blocks alone."""
+    of every draw sends one piece of ``bits`` bits. Every reader walks the
+    blocks and their draws in order, which is (call, block, repetition)
+    order, the order of each speaker's message; the output rule and
+    ``plan_outcome`` then vote through ``_vote``."""
 
     q: int
     calls: int
     decide: Callable[[list[int]], int]
     blocks: list[Block] = field(default_factory=list)
-    draws: int = 0
 
     @property
     def bits(self) -> int:
@@ -181,89 +172,69 @@ class _Plan:
         draw per repetition, each mapping its speakers, in speaking order,
         to their shares: gip's patterns (``gip_patterns``) or mod3's GF(3)
         tables (``mod3_message_tables``)."""
-        first = self.draws
-        self.draws += len(draws)
-        self.blocks.append(Block(rows, width, call, range(first, self.draws), tuple(draws)))
+        self.blocks.append(Block(rows, width, call, tuple(draws)))
 
-    @cached_property
-    def speakers(self) -> dict[int, list[tuple[int, Block, Share]]]:
-        """Per speaker, its (draw, block, share) entries in (call, block,
-        repetition) order, the order of its message; built on first read,
-        once the plan is complete."""
-        speakers: dict[int, list[tuple[int, Block, Share]]] = {}
-        for block in self.blocks:
-            for d, draw in zip(block.draws, block.shares):
-                for i, share in draw.items():
-                    entries = speakers.get(i)
-                    if entries is None:
-                        entries = speakers[i] = []
-                    entries.append((d, block, share))
-        return speakers
+
+def _vote(plan: _Plan, sums: Callable[[Block], list[int]]) -> int:
+    """The vote of a run: ``sums(block)`` gives each repetition's piece
+    sum, a repetition's value is its sum mod q, a block takes the plurality
+    of its repetitions, a call sums its blocks mod q, and decide reads the
+    calls. ``sums`` is called once per block, in plan order."""
+    q = plan.q
+    calls = [0] * plan.calls
+    for block in plan.blocks:
+        calls[block.call] += plurality([s % q for s in sums(block)], q)
+    return plan.decide([value % q for value in calls])
 
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
     """Player i's pieces in (call, block, repetition) order. It masks its
-    rows once per run. A gip piece is the multiplicity mod 2 of the
-    speaker's pattern among the block's masked rows, read off a map from
-    each masked value to the bitmask of the rows that hold it. A mod3
-    piece sums one table lookup per block row that holds columns 1..i-1,
-    over the rows folded once per block."""
-    entries = plan.speakers.get(i)
-    if entries is None:
-        return ""
-    masked = [view.masked_row(r) for r in range(view.n)]
-    if plan.q == 2:
-        where: dict[int, int] = {}
-        for r, v in enumerate(masked):
-            where[v] = where.get(v, 0) | 1 << r
-        return "".join(["01"[(where.get(share, 0) & block.mask).bit_count() & 1]
-                        for _, block, share in entries])
+    rows once per run, on its first share. A gip piece is the parity of the
+    count of the block's masked rows that equal the speaker's pattern. A
+    mod3 piece sums one table lookup per block row that holds columns
+    1..i-1, over the rows folded once per block."""
+    masked = None
     need = (1 << (i - 1)) - 1
     pieces = []
-    held = None
-    for _, block, table in entries:
-        if block is not held:
-            held = block
-            rows = fold_rows([masked[r] for r in block.rows], block.width)
-            tops = [eff >> i for eff in rows if eff & need == need]
-        pieces.append(_GF3_BITS[sum(table[w] for w in tops) % 3])
+    for block in plan.blocks:
+        mine = [draw[i] for draw in block.shares if i in draw]
+        if not mine:
+            continue
+        if masked is None:
+            masked = [view.masked_row(r) for r in range(view.n)]
+        rows = [masked[r] for r in block.rows]
+        if plan.q == 2:
+            pieces += ["01"[rows.count(pattern) & 1] for pattern in mine]
+        else:
+            tops = [eff >> i for eff in fold_rows(rows, block.width) if eff & need == need]
+            pieces += [_GF3_BITS[sum(table[w] for w in tops) % 3] for table in mine]
     return "".join(pieces)
 
 
 def _plan_length(i: int, plan: _Plan) -> int:
-    return plan.bits * len(plan.speakers.get(i, ()))
+    return plan.bits * len([1 for block in plan.blocks for draw in block.shares if i in draw])
 
 
-def _piece_values(transcript: Transcript, plan: _Plan) -> np.ndarray:
-    """Every piece's value, speaker by speaker in ``plan.speakers`` order
-    and each speaker's in its entries' order: the speaker's bits, read once
-    from the transcript, cut into consecutive ``plan.bits``-bit slices. A
-    speaker with fewer bits than its pieces declare is an error."""
+def _plan_output(transcript: Transcript, plan: _Plan) -> int:
+    """The vote over the transcript's pieces: each speaker's bits, joined
+    across its entries, are read in consecutive ``plan.bits``-bit pieces in
+    plan order. A speaker with fewer bits than its pieces declare is an
+    error."""
     said: dict[int, str] = {}
     for i, bits in transcript.entries:
         said[i] = said.get(i, "") + bits
     width = plan.bits
-    text = []
-    for i, entries in plan.speakers.items():
-        msg = said.get(i, "")
-        if len(msg) < width * len(entries):
+    read: dict[int, int] = {}  # bits of each speaker read so far
+
+    def piece(i: int) -> int:
+        start = read.get(i, 0)
+        bits = said.get(i, "")[start : start + width]
+        if len(bits) < width:
             raise ValueError(f"transcript is shorter than its plan declares for player {i}")
-        text.append(msg[: width * len(entries)])
-    digits = np.frombuffer("".join(text).encode(), np.uint8) - ord("0")
-    return digits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
+        read[i] = start + width
+        return int(bits, 2)
 
-
-def _plan_output(transcript: Transcript, plan: _Plan) -> int:
-    """A repetition sums its pieces mod q, a block takes the plurality of its
-    repetitions, a call sums its blocks mod q, and decide reads the calls."""
-    q = plan.q
-    drawn = [d for entries in plan.speakers.values() for d, _, _ in entries]
-    sums = np.bincount(drawn, weights=_piece_values(transcript, plan), minlength=plan.draws)
-    reps = (sums.astype(np.int64) % q).tolist()
-    calls = [0] * plan.calls
-    for block in plan.blocks:
-        calls[block.call] += plurality(reps[block.draws.start : block.draws.stop], q)
-    return plan.decide([value % q for value in calls])
+    return _vote(plan, lambda block: [sum(map(piece, draw)) for draw in block.shares])
 
 
 def plan_outcome(plan: _Plan, x: InputMatrix) -> tuple[int, int]:
@@ -271,25 +242,27 @@ def plan_outcome(plan: _Plan, x: InputMatrix) -> tuple[int, int]:
     input without a transcript. Speaker i's masked rows equal its pattern p
     exactly where the row is p or p with column i set, so its piece is
     m(p) + m(p | 1 << (i-1)) mod 2, with m a block's multiplicity of each
-    row value. The vote is ``_plan_output``'s, and every piece costs
-    ``plan.bits`` bits."""
+    row value. ``_vote`` reads these sums as it reads the output rule's,
+    and every piece costs ``plan.bits`` bits."""
     rows = x.rows
-    calls = [0] * plan.calls
     pieces = 0
-    for block in plan.blocks:
+
+    def sums(block: Block) -> list[int]:
+        nonlocal pieces
         m: dict[int, int] = {}
         for r in block.rows:
             v = rows[r]
             m[v] = m.get(v, 0) + 1
-        reps = []
+        values = []
         for draw in block.shares:
             value = 0
             for i, p in draw.items():
                 value += m.get(p, 0) + m.get(p | 1 << (i - 1), 0)
-            reps.append(value & 1)
+            values.append(value)
             pieces += len(draw)
-        calls[block.call] += plurality(reps, 2)
-    return plan.decide([value & 1 for value in calls]), plan.bits * pieces
+        return values
+
+    return _vote(plan, sums), plan.bits * pieces
 
 
 # the fixed part of the three specs: simultaneous, public-coin, and every
@@ -440,13 +413,12 @@ def _mask_labels(scope: str, block: int, reps: int) -> tuple[str, ...]:
 
 
 def _add_gip_call(
-    plan: _Plan, call: int, row_ids: Sequence[int], k: int, eps: Fraction,
+    plan: _Plan, call: int, row_ids: Sequence[int], k: int, lay: Layout,
     tape: RandomTape, scope: str,
 ) -> None:
     """Add to ``plan`` the blocks of one call computing GIP of the given
-    rows, err <= eps: every repetition of a block draws a mask within the
-    block's budget."""
-    lay = layout("gip", len(row_ids), k, eps)
+    rows, laid out by ``lay`` (gip's layout at that row count): every
+    repetition of a block draws a mask within the block's budget."""
     for b, (start, stop, ell, space) in enumerate(lay.blocks):
         ranks = tape.randbelow_each(_mask_labels(scope, b, lay.reps), space)
         plan.add(call, tuple(row_ids[start:stop]), k, [gip_patterns(k, ell, r) for r in ranks])
@@ -465,12 +437,11 @@ def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:
 
 def gip_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec:
     """Randomized simultaneous protocol for the parity of all-ones rows."""
-    eps = Fraction(eps)
     lay = layout("gip", n, k, eps)
 
     def plan(tape: RandomTape) -> _Plan:
         out = _Plan(q=2, calls=1, decide=lambda calls: calls[0])
-        _add_gip_call(out, 0, range(n), k, eps, tape, "")
+        _add_gip_call(out, 0, range(n), k, lay, tape, "")
         return out
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling, direct_vote=plan_outcome)
@@ -534,6 +505,7 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
     """
     lay = layout("disj", n, k, eps)
     trials = lay.calls
+    subcalls: dict[int, Layout] = {}  # row count -> gip layout, filled on first use
 
     def decide(calls: list[int]) -> int:
         return int(calls.count(0) >= DISJ_ZERO_THRESHOLD * trials)
@@ -545,7 +517,10 @@ def disj_protocol(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> ProtocolSpec
             rows = tuple(compress(range(n), picks))
             # an empty subset is a call without blocks, whose gip is 0
             if rows:
-                _add_gip_call(out, t, rows, k, DISJ_SUBCALL_ERROR, tape, f"disj/t{t}/")
+                sub = subcalls.get(len(rows))
+                if sub is None:
+                    sub = subcalls[len(rows)] = layout("gip", len(rows), k, DISJ_SUBCALL_ERROR)
+                _add_gip_call(out, t, rows, k, sub, tape, f"disj/t{t}/")
         return out
 
     return _plan_protocol(n, k, plan=plan, cost_ceiling=lay.cost_ceiling, direct_vote=plan_outcome)

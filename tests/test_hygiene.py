@@ -22,6 +22,9 @@ module catches ``ImportError`` to fall back on another code path.
 package function calls ``_partition_rows``, ``active_budget`` or
 ``smallest_odd_majority``, the three rules it is built from.
 
+``protocols`` votes in one place: inside it only ``_vote`` calls
+``core.plurality``, and it imports no numpy.
+
 Every memo has an explicit bound: each ``lru_cache`` in the package, as a
 decorator or a call, sets ``maxsize`` to a positive integer literal, and
 ``functools.cache`` (unbounded) is not used.
@@ -312,9 +315,9 @@ def test_only_the_tape_imports_hashlib():
 LAYOUT_RULES = {"_partition_rows", "active_budget", "smallest_odd_majority"}
 
 
-def layout_rule_calls(source: str) -> list[tuple[str, str, int]]:
+def calls_of(source: str, names: set[str]) -> list[tuple[str, str, int]]:
     """(enclosing top-level function or class, or "<module>", name, line) of
-    every call of a LAYOUT_RULES name, plain or as an attribute."""
+    every call of one of ``names``, plain or as an attribute."""
     found = []
     for top in ast.parse(source).body:
         scope = getattr(top, "name", "<module>")
@@ -322,7 +325,7 @@ def layout_rule_calls(source: str) -> list[tuple[str, str, int]]:
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in LAYOUT_RULES:
+                if name in names:
                     found.append((scope, name, node.lineno))
     return sorted(found, key=lambda hit: (hit[2], hit[1]))
 
@@ -340,7 +343,7 @@ def test_layout_scan_finds_each_call_with_its_scope_and_skips_references():
         "    def method(self):\n"
         "        return _partition_rows(self.rows, 2)\n"
     )
-    assert layout_rule_calls(source) == [
+    assert calls_of(source, LAYOUT_RULES) == [
         ("<module>", "active_budget", 2),
         ("layout", "_partition_rows", 4),
         ("layout", "smallest_odd_majority", 4),
@@ -353,9 +356,17 @@ def test_only_layout_calls_the_layout_rules():
     calls = {
         (module.name, scope, name)
         for module in sorted(PACKAGE.glob("*.py"))
-        for scope, name, _ in layout_rule_calls(module.read_text())
+        for scope, name, _ in calls_of(module.read_text(), LAYOUT_RULES)
     }
     assert calls == {("protocols.py", "layout", name) for name in LAYOUT_RULES}
+
+
+def test_protocols_votes_in_one_place_without_numpy():
+    # every plan reader votes through _vote, so the vote cannot fork again
+    source = (PACKAGE / "protocols.py").read_text()
+    assert imports_of(source, "numpy") == []
+    calls = [(scope, name) for scope, name, _ in calls_of(source, {"plurality"})]
+    assert calls == [("_vote", "plurality")]
 
 
 def traced_attributes(source: str) -> list[tuple[str, str]]:

@@ -28,7 +28,7 @@ from nofkit.protocols import (
     MaskVector,
     _Plan,
     _partition_rows,
-    _piece_values,
+    _plan_output,
     disj_params,
     disj_protocol,
     gip_base_outcome,
@@ -208,7 +208,7 @@ def test_a_run_reads_each_view_row_at_most_once_per_call(name, n, k, monkeypatch
     tape = RandomTape(master_seed=5)
     run(p, x, tape)
     plan = p.plan(tape)
-    speakers = set(plan.speakers)
+    speakers = {i for block in plan.blocks for draw in block.shares for i in draw}
     assert max(reads.values()) == 1
     assert {player for player, _ in reads} == speakers
 
@@ -225,23 +225,32 @@ def test_the_output_rule_refuses_a_transcript_shorter_than_its_plan(name, n, k):
             p.output_rule(Transcript(entries=short), p.plan(tape))
 
 
-def interleaved_plan(q):
-    """Six pieces that alternate between players 2 and 1: draws {2}, {1, 2},
-    {1} and {2, 1} of one block, so player 2 speaks first."""
-    plan = _Plan(q=q, calls=1, decide=lambda calls: calls[0])
-    plan.add(0, (0,), 2, [{2: 0}, {1: 0, 2: 0}, {1: 0}, {2: 0, 1: 0}])
+def plan_of_draws(q, draws):
+    """A plan whose every draw is a call of its own, one block of one
+    repetition, and whose decide returns the calls: each draw's piece sum
+    mod q reaches the output."""
+    plan = _Plan(q=q, calls=len(draws), decide=lambda calls: calls)
+    for call, draw in enumerate(draws):
+        plan.add(call, (0,), 2, [draw])
     return plan
 
 
-def test_piece_values_cut_each_speaker_in_its_entries_order():
+# six pieces that alternate between players 2 and 1, player 2 first: one
+# speaker a draw, or draws {2}, {1, 2}, {1} and {2, 1}
+ALTERNATING = [{2: 0}, {1: 0}, {2: 0}, {1: 0}, {2: 0}, {1: 0}]
+INTERLEAVED = [{2: 0}, {1: 0, 2: 0}, {1: 0}, {2: 0, 1: 0}]
+
+
+def test_the_output_rule_cuts_each_speaker_in_its_plan_order():
     # three pieces per player, player 2's first; a player's bits may span
     # several entries and run past its pieces
     t = Transcript(entries=((1, "10"), (2, "011"), (1, "11")))
-    assert _piece_values(t, interleaved_plan(2)).tolist() == [0, 1, 1, 1, 0, 1]
+    assert _plan_output(t, plan_of_draws(2, ALTERNATING)) == [0, 1, 1, 0, 1, 1]
     t = Transcript(entries=((1, "1000"), (2, "011000"), (1, "01")))
-    assert _piece_values(t, interleaved_plan(3)).tolist() == [1, 2, 0, 2, 0, 1]
+    assert _plan_output(t, plan_of_draws(3, ALTERNATING)) == [1, 2, 2, 0, 0, 1]
+    assert _plan_output(t, plan_of_draws(3, INTERLEAVED)) == [1, 1, 0, 1]
     with pytest.raises(ValueError, match="shorter"):
-        _piece_values(Transcript(entries=((1, "1000"), (2, "01100"))), interleaved_plan(3))
+        _plan_output(Transcript(entries=((1, "1000"), (2, "01100"))), plan_of_draws(3, INTERLEAVED))
 
 
 # The direct vote is checked against core.run for every protocol simulate

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from nofkit import protocols
 from nofkit.combinatorics import binom_leq
 from nofkit.core import run
 from nofkit.functions import eval_disj, eval_gip, eval_mod3xor
 from nofkit.matrices import InputMatrix, View
 from nofkit.protocols import (
+    DISJ_SUBCALL_ERROR,
     InfeasibleParameters,
     MaskVector,
     _Plan,
@@ -201,7 +203,7 @@ def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
     monkeypatch.setattr(MaskVector, "from_rank", classmethod(counted))
     gip_patterns.cache_clear()
     plan = p.plan(RandomTape(3))
-    draws = plan.draws
+    draws = sum(len(block.shares) for block in plan.blocks)
     assert binom_leq(256, 2) == 32897
     assert 1 <= len(unranked) <= draws
     assert gip_patterns.cache_info().currsize <= draws
@@ -284,6 +286,24 @@ def test_disj_params_subcall_reps_follow_the_blocked_layout():
     assert gip_params(16, 4, Fraction(1, 16))["reps"] == [39] * 4
     assert disj_params(16, 4)["subcall_reps"] == 39
     assert disj_params(16, 16)["subcall_reps"] == 21
+
+
+def test_a_disj_build_looks_up_each_subcall_row_count_once(monkeypatch):
+    # the subcall layouts are resolved on first use, never per trial and
+    # never for a row count no plan has drawn
+    p = disj_protocol(16, 16)
+    looked_up = []
+    real = protocols.layout
+
+    def counted(*args):
+        looked_up.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocols, "layout", counted)
+    assert looked_up == []
+    plans = [p.plan(RandomTape(seed)) for seed in range(20)]
+    sizes = {len(block.rows) for plan in plans for block in plan.blocks}
+    assert sorted(looked_up) == [("gip", r, 16, DISJ_SUBCALL_ERROR) for r in sorted(sizes)]
 
 
 def test_disj_params_infeasible():
