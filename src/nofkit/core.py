@@ -95,10 +95,11 @@ def run(p: ProtocolSpec, x: InputMatrix, tape: RandomTape) -> ProtocolOutcome:
     """Execute one protocol instance. Pure in (p, x, tape).
 
     This is the scalar path and the oracle of every fast one: simulate's
-    trials take ``p.direct_vote`` where the spec sets one (gip and disj),
-    which must give this run's output and cost_bits. mod3 trials still run
-    here; they join once the benchmark's traced pass stops pinning their
-    run and message counts."""
+    trials take ``p.direct_vote`` where the spec sets one (gip and disj,
+    whose vote per mask d is the telescoped m(full) + m(d) mod 2), which
+    must give this run's output and cost_bits. mod3 trials still run here;
+    they join once the benchmark's traced pass stops pinning their run and
+    message counts."""
     if x.n != p.n or x.k != p.k:
         raise ValueError(f"input is {x.n}x{x.k}, protocol wants {p.n}x{p.k}")
     ctx = rule_context(p, tape)

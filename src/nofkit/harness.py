@@ -167,10 +167,11 @@ def _trial_chunk(cfg: ExperimentConfig, start: int, stop: int) -> Tally:
     """Trials [start, stop) folded into one Tally; top-level so process pools pickle it.
 
     A trial keeps only a run's output and cost. gip and disj specs set a
-    direct vote (``protocols.plan_outcome``), which reads both off the plan
-    and the input without building a transcript; mod3 runs through
-    ``core.run``, whose per-message work the benchmark's traced pass still
-    counts."""
+    direct vote (``protocols.plan_outcome``), which reads both off the
+    plan's masks and the input without building a transcript: one count of
+    a block's row values, then m(full) + m(d) mod 2 per mask d. mod3 runs
+    through ``core.run``, whose per-message work the benchmark's traced
+    pass still counts."""
     eps = parse_eps(cfg.eps)
     master = RandomTape(master_seed=cfg.seed)
     evaluate = REFERENCE[cfg.protocol]

@@ -4,10 +4,10 @@ All three factories return a ProtocolSpec whose per-execution structure (which
 player speaks how many bits, and what each bit means) is derived from the tape
 alone, never from the input. Each spec's ``plan`` describes one run as flat
 data, built in one pass over the layout and the tape: its row blocks (row
-ids, width, call and each draw's speakers with their shares). ``core.run``
-builds it once per run and hands it to one message, one length and one
-output rule shared by all three protocols, which read nothing else; that
-keeps the transcript splittable and the declared cost ceilings honest.
+ids, width, call and one draw per repetition). ``core.run`` builds it once
+per run and hands it to one message, one length and one output rule shared
+by all three protocols, which read nothing else; that keeps the transcript
+splittable and the declared cost ceilings honest.
 gip and disj also set a direct vote, ``plan_outcome``: the same output and
 cost read off the same plan and the whole input, with no transcript, for
 trials that keep nothing else. Every reader walks the blocks and their
@@ -22,10 +22,12 @@ gip_protocol    parity of all-ones rows. Samples a row mask with few zeros;
                 parity bit, and the XOR of the broadcasts telescopes to the
                 all-ones row count mod 2 unless some input row equals the
                 mask. Rows are split into blocks when 2^k < 3n, and every
-                block is repeated for a majority vote. A speaker's bit is
-                the multiplicity mod 2 of one pattern among its masked block
-                rows, so the plan holds each speaker's pattern
-                (``gip_patterns``) and the bit counts the pattern there.
+                block is repeated for a majority vote. A draw is the mask d
+                as one int: player i speaks iff bit i-1 of d is 0, and its
+                bit counts, mod 2, its masked block rows equal to d with
+                the columns above i set. The XOR is m(full) + m(d) mod 2
+                (Grolmusz 1994), m counting the block's row values: the
+                direct vote.
 
 disj_protocol   set disjointness. Estimates P over random row subsets S of
                 [gip on the S-rows = 0]: exactly 1 when the columns are
@@ -110,7 +112,7 @@ class MaskVector:
 
     @property
     def zero_positions(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.k + 1) if not (self.bits >> (j - 1)) & 1)
+        return zero_positions(self.bits, self.k)
 
     @classmethod
     def from_rank(cls, k: int, ell: int, rank: int) -> "MaskVector":
@@ -118,6 +120,26 @@ class MaskVector:
         lexicographic zero positions; unranked by the shared
         ``combinatorics.unrank_band_row``."""
         return cls(k=k, bits=unrank_band_row(k, 0, min(ell, k), rank))
+
+
+@lru_cache(maxsize=4096)
+def zero_positions(bits: int, k: int) -> tuple[int, ...]:
+    """The zero positions (1-based, increasing) of a k-column mask, the
+    speakers of a gip draw: one step per set bit of full & ~bits."""
+    free = ((1 << k) - 1) & ~bits
+    zeros = []
+    while free:
+        low = free & -free
+        zeros.append(low.bit_length())
+        free ^= low
+    return tuple(zeros)
+
+
+@lru_cache(maxsize=4096)
+def _mask_bits(k: int, ell: int, rank: int) -> int:
+    """The mask of this rank as one int. Unranking costs about ten memo
+    hits; the bound covers every mask of disj 64 x 64's subcalls."""
+    return MaskVector.from_rank(k, ell, rank).bits
 
 
 def enumerate_masks(k: int, ell: int):
@@ -129,8 +151,7 @@ def enumerate_masks(k: int, ell: int):
 # ---------------------------------------------------------------------------
 # plan machinery
 
-Share = Union[int, list[int]]  # gip: the speaker's pattern; mod3: its GF(3) table
-Draw = dict[int, Share]
+Draw = Union[int, dict[int, list[int]]]  # gip: the mask; mod3: speaker -> GF(3) table
 _GF3_BITS = ("00", "01", "10")
 
 
@@ -138,13 +159,14 @@ _GF3_BITS = ("00", "01", "10")
 class Block:
     """One row block of a voted call: its row ids, the width its rows are
     read at (k for gip, the folded k_eff for mod3), the call it belongs to
-    and, per draw (one per repetition), its speakers in speaking order with
-    their shares."""
+    and one draw per repetition. A gip draw is its mask d as an int, whose
+    speakers are the zero positions; a mod3 draw maps its speakers, in
+    speaking order, to their GF(3) tables."""
 
     rows: tuple[int, ...]
     width: int
     call: int
-    shares: tuple[Draw, ...]
+    draws: tuple[Draw, ...]
 
 
 @dataclass
@@ -169,9 +191,8 @@ class _Plan:
 
     def add(self, call: int, rows: tuple[int, ...], width: int, draws: Sequence[Draw]) -> None:
         """Append a block of ``call`` with these row ids and width and one
-        draw per repetition, each mapping its speakers, in speaking order,
-        to their shares: gip's patterns (``gip_patterns``) or mod3's GF(3)
-        tables (``mod3_message_tables``)."""
+        draw per repetition: a q = 2 (gip) draw is the mask as an int, a
+        mod3 draw maps each speaker to its ``mod3_message_tables`` table."""
         self.blocks.append(Block(rows, width, call, tuple(draws)))
 
 
@@ -189,21 +210,28 @@ def _vote(plan: _Plan, sums: Callable[[Block], list[int]]) -> int:
 
 def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
     """Player i's pieces in (call, block, repetition) order. It masks its
-    rows once per run, on its first share. A gip piece is the parity of the
-    count of the block's masked rows that equal the speaker's pattern. A
-    mod3 piece sums one table lookup per block row that holds columns
-    1..i-1, over the rows folded once per block."""
+    rows once per run, on its first piece. A gip piece, for each mask d
+    with bit i-1 clear, is the parity of the count of the block's masked
+    rows equal to i's pattern: d with the view's columns above i set. A mod3
+    piece sums one table lookup per block row that holds columns 1..i-1,
+    over the rows folded once per block."""
     masked = None
-    need = (1 << (i - 1)) - 1
+    gip = plan.q == 2
+    bit = 1 << (i - 1)
+    need = bit - 1
+    above = ((1 << view.k) - 1) ^ ((bit << 1) - 1)  # the columns above i
     pieces = []
     for block in plan.blocks:
-        mine = [draw[i] for draw in block.shares if i in draw]
+        if gip:
+            mine = [d | above for d in block.draws if not d & bit]
+        else:
+            mine = [draw[i] for draw in block.draws if i in draw]
         if not mine:
             continue
         if masked is None:
             masked = [view.masked_row(r) for r in range(view.n)]
         rows = [masked[r] for r in block.rows]
-        if plan.q == 2:
+        if gip:
             pieces += ["01"[rows.count(pattern) & 1] for pattern in mine]
         else:
             tops = [eff >> i for eff in fold_rows(rows, block.width) if eff & need == need]
@@ -212,14 +240,17 @@ def _plan_message(i: int, view: View, prefix, plan: _Plan) -> str:
 
 
 def _plan_length(i: int, plan: _Plan) -> int:
-    return plan.bits * len([1 for block in plan.blocks for draw in block.shares if i in draw])
+    if plan.q == 2:
+        bit = 1 << (i - 1)
+        return plan.bits * len([1 for block in plan.blocks for d in block.draws if not d & bit])
+    return plan.bits * len([1 for block in plan.blocks for draw in block.draws if i in draw])
 
 
 def _plan_output(transcript: Transcript, plan: _Plan) -> int:
     """The vote over the transcript's pieces: each speaker's bits, joined
     across its entries, are read in consecutive ``plan.bits``-bit pieces in
-    plan order. A speaker with fewer bits than its pieces declare is an
-    error."""
+    plan order, a gip mask's speakers being its zero positions. A speaker
+    with fewer bits than its pieces declare is an error."""
     said: dict[int, str] = {}
     for i, bits in transcript.entries:
         said[i] = said.get(i, "") + bits
@@ -234,16 +265,20 @@ def _plan_output(transcript: Transcript, plan: _Plan) -> int:
         read[i] = start + width
         return int(bits, 2)
 
-    return _vote(plan, lambda block: [sum(map(piece, draw)) for draw in block.shares])
+    if plan.q == 2:
+        return _vote(plan, lambda block: [sum(map(piece, zero_positions(d, block.width)))
+                                          for d in block.draws])
+    return _vote(plan, lambda block: [sum(map(piece, draw)) for draw in block.draws])
 
 
 def plan_outcome(plan: _Plan, x: InputMatrix) -> tuple[int, int]:
     """(output, cost_bits) of ``core.run`` on a q = 2 plan, read off the
-    input without a transcript. Speaker i's masked rows equal its pattern p
-    exactly where the row is p or p with column i set, so its piece is
-    m(p) + m(p | 1 << (i-1)) mod 2, with m a block's multiplicity of each
-    row value. ``_vote`` reads these sums as it reads the output rule's,
-    and every piece costs ``plan.bits`` bits."""
+    input without a transcript. The speakers' bits under mask d telescope:
+    speaker z_j's pattern is the one before it with column z_j cleared, so
+    their sum is m(full) + m(d) mod 2, with m the block's multiplicity of
+    each row value (2 m(full) when d is full and nobody speaks). ``_vote``
+    reads these sums as it reads the output rule's, and each of the
+    width - popcount(d) speakers sends ``plan.bits`` bits."""
     rows = x.rows
     pieces = 0
 
@@ -253,14 +288,9 @@ def plan_outcome(plan: _Plan, x: InputMatrix) -> tuple[int, int]:
         for r in block.rows:
             v = rows[r]
             m[v] = m.get(v, 0) + 1
-        values = []
-        for draw in block.shares:
-            value = 0
-            for i, p in draw.items():
-                value += m.get(p, 0) + m.get(p | 1 << (i - 1), 0)
-            values.append(value)
-            pieces += len(draw)
-        return values
+        truth = m.get((1 << block.width) - 1, 0)
+        pieces += block.width * len(block.draws) - sum(d.bit_count() for d in block.draws)
+        return [truth + m.get(d, 0) for d in block.draws]
 
     return _vote(plan, sums), plan.bits * pieces
 
@@ -389,23 +419,6 @@ def gip_broadcast_bit(rows: Sequence[int], zeros: Sequence[int], ordinal: int, k
     return cnt
 
 
-@lru_cache(maxsize=4096)
-def gip_patterns(k: int, ell: int, rank: int) -> dict[int, int]:
-    """The speakers of the mask of this rank, in zero-position order, each
-    with the one masked row its broadcast bit counts. A masked row passes
-    ``gip_broadcast_bit``'s test iff it is 0 on the earlier zero positions
-    and on the speaker's own column and 1 everywhere else, so the bit is the
-    multiplicity mod 2 of that one pattern: the all-ones row with the zero
-    positions up to the speaker's own cleared. The memo hands every caller
-    the same dict, which nothing writes to."""
-    pattern = (1 << k) - 1
-    patterns = {}
-    for z in MaskVector.from_rank(k, ell, rank).zero_positions:
-        pattern &= ~(1 << (z - 1))
-        patterns[z] = pattern
-    return patterns
-
-
 @lru_cache(maxsize=1024)
 def _mask_labels(scope: str, block: int, reps: int) -> tuple[str, ...]:
     """The mask labels of one block's repetitions, which no trial changes."""
@@ -421,7 +434,7 @@ def _add_gip_call(
     repetition of a block draws a mask within the block's budget."""
     for b, (start, stop, ell, space) in enumerate(lay.blocks):
         ranks = tape.randbelow_each(_mask_labels(scope, b, lay.reps), space)
-        plan.add(call, tuple(row_ids[start:stop]), k, [gip_patterns(k, ell, r) for r in ranks])
+        plan.add(call, tuple(row_ids[start:stop]), k, [_mask_bits(k, ell, r) for r in ranks])
 
 
 def gip_params(n: int, k: int, eps: Rational = DEFAULT_ERROR) -> dict:

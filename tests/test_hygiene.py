@@ -27,7 +27,9 @@ package function calls ``_partition_rows``, ``active_budget`` or
 
 Every memo has an explicit bound: each ``lru_cache`` in the package, as a
 decorator or a call, sets ``maxsize`` to a positive integer literal, and
-``functools.cache`` (unbounded) is not used.
+``functools.cache`` (unbounded) is not used. A memo hands every caller the
+same object, so no ``lru_cache`` function in ``protocols.py`` is annotated to
+return a ``dict``, ``list`` or ``set``.
 
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
@@ -476,6 +478,66 @@ def test_cache_scan_flags_every_memo_without_a_finite_bound():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_memo_in_the_package_is_bounded(module):
     assert unbounded_caches(module.read_text()) == []
+
+
+MUTABLE = {"dict", "list", "set", "Dict", "List", "Set"}
+
+
+def mutable_memos(source: str) -> list[str]:
+    """Names of the ``lru_cache`` functions, by either spelling, with or
+    without a call, whose return annotation is a dict, list or set: bare,
+    subscripted, ``typing.``-qualified or quoted."""
+
+    def is_cache(node: ast.AST) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None)) == "lru_cache"
+
+    def container(note: ast.AST) -> bool:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            note = ast.parse(note.value, mode="eval").body
+        if isinstance(note, ast.Subscript):
+            note = note.value
+        return getattr(note, "id", getattr(note, "attr", None)) in MUTABLE
+
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(is_cache, node.decorator_list))
+        and node.returns is not None
+        and container(node.returns)
+    ]
+
+
+def test_memo_scan_flags_every_cached_container_return():
+    source = (
+        "import functools, typing\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(k) -> dict[int, int]: return {}\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def b(k) -> list: return []\n"
+        "@lru_cache\n"
+        "def c(k) -> 'set[int]': return set()\n"
+        "@lru_cache(maxsize=8)\n"
+        "def d(k) -> typing.Dict[int, int]: return {}\n"
+        "@lru_cache(maxsize=8)\n"
+        "def e(k) -> tuple[int, ...]: return ()\n"
+        "@lru_cache(maxsize=8)\n"
+        "def f(k) -> int: return k\n"
+        "@lru_cache(maxsize=8)\n"
+        "def g(k): return []\n"
+        "def h(k) -> dict: return {}\n"
+        "@property\n"
+        "def i(self) -> list: return []\n"
+    )
+    assert mutable_memos(source) == ["a", "b", "c", "d"]
+
+
+def test_no_protocols_memo_returns_a_mutable_container():
+    # a shared dict or list from a memo is one caller's write away from
+    # changing every later caller's answer
+    assert mutable_memos((PACKAGE / "protocols.py").read_text()) == []
 
 
 def parameters_named(source: str, name: str) -> list[tuple[str, int]]:

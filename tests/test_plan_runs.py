@@ -37,6 +37,7 @@ from nofkit.protocols import (
     mask_label,
     mod3_protocol,
     subset_label,
+    zero_positions,
 )
 from nofkit.tape import RandomTape
 
@@ -208,7 +209,9 @@ def test_a_run_reads_each_view_row_at_most_once_per_call(name, n, k, monkeypatch
     tape = RandomTape(master_seed=5)
     run(p, x, tape)
     plan = p.plan(tape)
-    speakers = {i for block in plan.blocks for draw in block.shares for i in draw}
+    # a gip draw is its mask, whose speakers are its zero positions
+    speakers = {i for block in plan.blocks for draw in block.draws
+                for i in (zero_positions(draw, k) if plan.q == 2 else draw)}
     assert max(reads.values()) == 1
     assert {player for player, _ in reads} == speakers
 
@@ -228,10 +231,11 @@ def test_the_output_rule_refuses_a_transcript_shorter_than_its_plan(name, n, k):
 def plan_of_draws(q, draws):
     """A plan whose every draw is a call of its own, one block of one
     repetition, and whose decide returns the calls: each draw's piece sum
-    mod q reaches the output."""
+    mod q reaches the output. A q = 2 draw is the 2-column mask that is 0
+    exactly at the draw's speakers."""
     plan = _Plan(q=q, calls=len(draws), decide=lambda calls: calls)
     for call, draw in enumerate(draws):
-        plan.add(call, (0,), 2, [draw])
+        plan.add(call, (0,), 2, [0b11 & ~sum(1 << (i - 1) for i in draw) if q == 2 else draw])
     return plan
 
 

@@ -7,12 +7,13 @@ from nofkit import protocols
 from nofkit.combinatorics import binom_leq
 from nofkit.core import run
 from nofkit.functions import eval_disj, eval_gip, eval_mod3xor
-from nofkit.matrices import InputMatrix, View
+from nofkit.matrices import InputMatrix, View, all_inputs
 from nofkit.protocols import (
     DISJ_SUBCALL_ERROR,
     InfeasibleParameters,
     MaskVector,
     _Plan,
+    _mask_bits,
     _mask_labels,
     _plan_message,
     active_budget,
@@ -27,7 +28,6 @@ from nofkit.protocols import (
     gip_base_outcome,
     gip_broadcast_bit,
     gip_params,
-    gip_patterns,
     gip_protocol,
     layout,
     mod3_base_value,
@@ -35,6 +35,7 @@ from nofkit.protocols import (
     mod3_protocol,
     monomial_partition,
     parity_poly_eval,
+    zero_positions,
 )
 from nofkit.tape import RandomTape
 
@@ -150,44 +151,69 @@ def test_gip_base_wrong_only_on_odd_collisions():
                 assert out == truth
 
 
+def test_the_telescoped_identity_is_the_base_run_exhaustively():
+    # every input and every mask with n*k <= 9: the broadcast bits of a base
+    # run XOR to m(full) + m(d) mod 2, with m the multiplicity of each row
+    # value, and the run has width - popcount(d) of them
+    for n in range(1, 10):
+        for k in range(1, 9 // n + 1):
+            full = (1 << k) - 1
+            masks = list(enumerate_masks(k, k))
+            for x in all_inputs(n, k):
+                for mask in masks:
+                    out, bits = gip_base_outcome(x, mask)
+                    d = mask.bits
+                    assert (x.rows.count(full) + x.rows.count(d)) % 2 == out, (x.rows, d)
+                    assert sum(bits) % 2 == out
+                    assert k - d.bit_count() == len(bits)
+
+
 def test_lookup_piece_equals_the_broadcast_scan_exhaustively():
     # every mask, every speaker and every input with n*k <= 9: a one-block
     # plan with every mask as one repetition gives, in each player's
     # message, the scanned broadcast bit of every mask the player speaks in
     for n in range(1, 10):
         for k in range(1, 9 // n + 1):
-            masks = [m.zero_positions for m in enumerate_masks(k, k)]
+            masks = list(enumerate_masks(k, k))
+            zero_sets = [m.zero_positions for m in masks]
             plan = _Plan(q=2, calls=1, decide=lambda calls: calls[0])
-            plan.add(0, tuple(range(n)), k, [gip_patterns(k, k, r) for r in range(len(masks))])
+            plan.add(0, tuple(range(n)), k, [m.bits for m in masks])
             for code in range(1 << (n * k)):
                 x = InputMatrix.from_code(n, k, code)
                 for z in range(1, k + 1):
                     masked = [r & ~(1 << (z - 1)) for r in x.rows]
                     want = "".join(
                         str(gip_broadcast_bit(masked, zeros, zeros.index(z) + 1, k))
-                        for zeros in masks
+                        for zeros in zero_sets
                         if z in zeros
                     )
                     assert _plan_message(z, View(x, z), (), plan) == want, (code, z)
 
 
 def test_gip_patterns_match_the_mask_zero_positions():
-    # speaker z_j counts the row that is 0 exactly on zero positions z_1..z_j
+    # a draw is its mask d: player i speaks iff bit i-1 of d is 0, and
+    # speaker z_j counts the row that is 0 exactly on zero positions
+    # z_1..z_j, which is d with every column above z_j set
     for k in range(1, 11):
-        full = range(1, k + 1)
+        full = (1 << k) - 1
         for ell in range(k + 1):
             for rank in range(binom_leq(k, ell)):
-                zeros = MaskVector.from_rank(k, ell, rank).zero_positions
-                want = [(z, sum(1 << (c - 1) for c in full if c not in zeros[: j + 1]))
-                        for j, z in enumerate(zeros)]
-                assert list(gip_patterns(k, ell, rank).items()) == want, (k, ell, rank)
+                mask = MaskVector.from_rank(k, ell, rank)
+                d = _mask_bits(k, ell, rank)
+                assert d == mask.bits
+                zeros = mask.zero_positions
+                assert zero_positions(d, k) == zeros
+                assert [i for i in range(1, k + 1) if not d >> (i - 1) & 1] == list(zeros)
+                for j, z in enumerate(zeros):
+                    want = sum(1 << (c - 1) for c in range(1, k + 1) if c not in zeros[: j + 1])
+                    assert d | (full ^ ((1 << z) - 1)) == want, (k, ell, rank, z)
 
 
 def test_the_mask_and_layout_memos_are_bounded():
-    for memo in (gip_patterns, _mask_labels, layout):
+    for memo in (_mask_bits, zero_positions, _mask_labels, layout):
         assert memo.cache_info().maxsize is not None
-    # the patterns cover every mask of disj 64 x 64's subcalls, not 256 x 256's
-    assert binom_leq(64, 2) == 2081 <= gip_patterns.cache_info().maxsize < binom_leq(256, 2)
+    # the masks cover every one of disj 64 x 64's subcalls, not 256 x 256's
+    assert binom_leq(64, 2) == 2081 <= _mask_bits.cache_info().maxsize < binom_leq(256, 2)
 
 
 def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
@@ -201,12 +227,13 @@ def test_a_wide_plan_unranks_only_the_masks_it_draws(monkeypatch):
         return real(cls, k, ell, rank)
 
     monkeypatch.setattr(MaskVector, "from_rank", classmethod(counted))
-    gip_patterns.cache_clear()
+    _mask_bits.cache_clear()
     plan = p.plan(RandomTape(3))
-    draws = sum(len(block.shares) for block in plan.blocks)
+    draws = [d for block in plan.blocks for d in block.draws]
     assert binom_leq(256, 2) == 32897
-    assert 1 <= len(unranked) <= draws
-    assert gip_patterns.cache_info().currsize <= draws
+    assert all(type(d) is int and 0 <= d < 1 << 256 for d in draws)
+    assert 1 <= len(unranked) <= len(draws)
+    assert _mask_bits.cache_info().currsize <= len(draws)
 
 
 def test_gip_params_regimes():
