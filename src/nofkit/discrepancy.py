@@ -57,7 +57,7 @@ class CharacterSpec:
     k: int
 
     def evaluate(self, x: InputMatrix) -> complex:
-        t = sum(bin(r).count("1") & 1 for r in x.rows)
+        t = sum(r.bit_count() & 1 for r in x.rows)
         return cmath.exp(2j * cmath.pi * (t % 3) / 3)
 
 
@@ -311,7 +311,7 @@ def bns_rhs(phi: np.ndarray, cap: int = DEFAULT_DISC_CAP) -> float:
         for i in range(k):
             shape[2 * i + ((z >> i) & 1)] = sizes[i]
         term = phi.reshape(shape)
-        if bin(z).count("1") & 1:
+        if z.bit_count() & 1:
             term = np.conj(term)
         grand = grand * term
     value = complex(grand.mean())
@@ -338,7 +338,7 @@ def payoff_array(fn: str, n: int, k: int) -> np.ndarray:
     all-ones rows (gip's parity, disj's emptiness), their XOR the row
     parities (the mod-3 character's count)."""
     values = np.arange(1 << n, dtype=np.int64)
-    pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
+    pop = np.array([v.bit_count() for v in range(1 << n)], dtype=np.int64)
     op = np.bitwise_xor if fn == "mod3char" else np.bitwise_and
     acc = np.full((1 << n,) * k, 0 if fn == "mod3char" else (1 << n) - 1, dtype=np.int64)
     for i in range(k):

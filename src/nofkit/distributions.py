@@ -99,7 +99,7 @@ def _row_with_parity(rng, k: int, parity: int) -> int:
     if k == 1:
         return parity
     head = _randbelow(rng, 1 << (k - 1))
-    fix = (bin(head).count("1") + parity) & 1
+    fix = (head.bit_count() + parity) & 1
     return head | (fix << (k - 1))
 
 

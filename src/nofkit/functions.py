@@ -59,7 +59,7 @@ def eval_udisj(x: InputMatrix) -> Value:
 
 def eval_mod3xor(x: InputMatrix) -> int:
     """1 iff sum over rows of (XOR of the row) is 0 mod 3."""
-    total = sum(bin(r).count("1") & 1 for r in x.rows)
+    total = sum(r.bit_count() & 1 for r in x.rows)
     return 1 if total % 3 == 0 else 0
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check
+from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check, tail_root
 from .core import ProtocolSpec, decompose_to_cylinders, run
 from .discrepancy import CapExceeded, bound_suite
 from .distributions import parse_dist_string
@@ -234,20 +234,21 @@ def _exact_y_trial(x: InputMatrix, ell: int, expected: Fraction) -> Tally:
 
 
 def clopper_pearson(wrong: int, trials: int, confidence: float = 0.99):
-    """Exact binomial confidence interval.
+    """Exact binomial confidence interval (Clopper and Pearson, 1934).
 
-    The ends are Beta quantiles taken straight from the regularized
-    incomplete-beta inverses. SciPy's Beta ppf/isf call the same two
-    ufuncs, so the floats match theirs bit for bit. scipy.special is
-    imported here, its one reader, so only a process that computes an
-    interval (a simulate or sweep report) loads SciPy; the other commands
-    start without it, and nothing loads SciPy's much slower statistics
-    package."""
-    from scipy.special import betainccinv, betaincinv
-
-    alpha = 1 - confidence
-    lo = 0.0 if wrong == 0 else float(betaincinv(wrong, trials - wrong + 1, alpha / 2))
-    hi = 1.0 if wrong == trials else float(betainccinv(wrong + 1, trials - wrong, alpha / 2))
+    With X ~ Bin(trials, p) and alpha/2 = (1 - confidence)/2 read as the
+    exact rational value of that float, the low end solves P(X >= wrong) =
+    alpha/2 and the high end P(X <= wrong) = alpha/2. Each end is the float
+    nearest the exact root, ties to even, found by
+    ``combinatorics.tail_root``, whose every comparison is exact; the ends
+    are 0 and 1 at wrong = 0 and wrong = trials."""
+    if not 0 <= wrong <= trials:
+        raise ValueError("need 0 <= wrong <= trials")
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must lie in (0, 1)")
+    half = Fraction((1 - confidence) / 2)
+    lo = 0.0 if wrong == 0 else tail_root(trials, wrong, half)
+    hi = 1.0 if wrong == trials else tail_root(trials, trials - wrong, half, failures=True)
     return lo, hi
 
 

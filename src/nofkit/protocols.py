@@ -470,7 +470,7 @@ def exact_gip_error(x: InputMatrix, ell: int) -> Fraction:
     """
     if not 0 <= ell <= x.k:
         raise ValueError("need 0 <= ell <= k")
-    heavy = {r for r in x.rows if x.k - bin(r).count("1") <= ell}
+    heavy = {r for r in x.rows if x.k - r.bit_count() <= ell}
     return Fraction(len(heavy), binom_leq(x.k, ell))
 
 
@@ -556,7 +556,7 @@ def parity_poly_eval(point: int, x: int, k: int) -> int:
     """
     if not 0 <= point < (1 << k) or not 0 <= x < (1 << k):
         raise ValueError("inputs out of range")
-    prod1 = pow(2, bin(x).count("1"), 3)  # x_i + 1 is 2 at ones, 1 at zeros
+    prod1 = pow(2, x.bit_count(), 3)  # x_i + 1 is 2 at ones, 1 at zeros
     prod2 = 1
     for j in range(k):
         term = ((x >> j) & 1) + ((point >> j) & 1) + 2  # x_j + point_j - 1 mod 3
@@ -578,7 +578,7 @@ class Gf3Poly:
         return total % 3
 
     def degree(self) -> int:
-        return max((bin(m).count("1") for m, _ in self.coeffs), default=0)
+        return max((m.bit_count() for m, _ in self.coeffs), default=0)
 
 
 def expand_parity_poly(point: int, k: int) -> Gf3Poly:

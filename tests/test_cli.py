@@ -566,7 +566,9 @@ print(json.dumps(seen))
 """
 
 
-def test_only_a_simulate_report_loads_scipy_in_a_fresh_interpreter(tmp_path):
+def test_no_command_loads_scipy_in_a_fresh_interpreter(tmp_path):
+    # simulate and sweep compute Clopper-Pearson intervals, from the
+    # package's own tail kernel
     matrix = tmp_path / "x.txt"
     matrix.write_text("2 3\n111\n011\n")
     out = ["--out", str(tmp_path / "out.json")]
@@ -575,6 +577,7 @@ def test_only_a_simulate_report_loads_scipy_in_a_fresh_interpreter(tmp_path):
         ["exact-error", "--protocol", "gip", "--matrix", str(matrix), *out],
         ["verify", "--suite", "decompose", *out],
         ["simulate", "--protocol", "gip", "--n", "4", "--k", "4", "--trials", "2", *out],
+        ["sweep", "--protocol", "gip", "--n-list", "4", "--k-list", "4", "--trials", "2", *out],
     ]
     src = str(Path(nofkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -583,6 +586,6 @@ def test_only_a_simulate_report_loads_scipy_in_a_fresh_interpreter(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     ).stdout)
     assert [(name, code) for name, code, _ in seen] == [
-        ("import", 0), ("disc", 0), ("exact-error", 0), ("verify", 0), ("simulate", 0)]
-    assert [loaded for _, _, loaded in seen[:-1]] == [[]] * 4
-    assert "scipy.special" in seen[-1][2]
+        ("import", 0), ("disc", 0), ("exact-error", 0), ("verify", 0), ("simulate", 0),
+        ("sweep", 0)]
+    assert [loaded for _, _, loaded in seen] == [[]] * 6

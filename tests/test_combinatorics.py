@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, sqrt
 from pathlib import Path
 
@@ -71,13 +71,58 @@ def test_majority_tail_equals_the_fraction_sum():
     ps = [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
           Fraction(3, 4), Fraction(1)]
     for p in ps:
+        a, b = p.numerator, p.denominator
         for t in range(1, 62):
             assert majority_tail(t, p) == majority_tail_fraction_sum(t, p), (t, p)
+            # the generalised kernel at every start index, either side summed:
+            # tails[start] is the Fraction sum of the terms s >= start
+            terms = [Fraction(comb(t, s)) * p**s * (1 - p) ** (t - s) for s in range(t + 1)]
+            tails = list(accumulate(reversed(terms), initial=Fraction(0)))[::-1]
+            for start in range(-1, t + 3):
+                want = tails[min(max(start, 0), t + 1)]
+                assert Fraction(combinatorics._tail_numerator(t, a, b - a, start), b**t) == want, (
+                    t, p, start)
 
 
 def test_majority_tail_decreases():
     vals = [majority_tail(t, Fraction(1, 3)) for t in (1, 3, 5, 7, 9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+TAIL_CASES = [(1, 1, 2, 1), (7, 3, 4, 2), (40, 5, 11, 20), (61, 1, 1, 30), (120, 3, 1 << 20, 3),
+              (300, 1, 3, 150), (2000, 1, 1 << 60, 1), (2000, 7, 9, 1000)]
+
+
+@pytest.mark.parametrize("t, a, c, start", TAIL_CASES)
+def test_the_tail_enclosure_holds_the_exact_tail_tightly(t, a, c, start):
+    exact = Fraction(combinatorics._tail_numerator(t, a, c, start), (a + c) ** t)
+    lo, hi = combinatorics._tail_bounds(t, a, c, start)
+    assert lo <= exact <= hi
+    assert hi - lo <= Fraction(1, 10**30) * max(exact, 1 - exact)
+
+
+@pytest.mark.parametrize("bits", [0, 1 << 60], ids=["enclosed", "integers"])
+@pytest.mark.parametrize("t, a, c, start", TAIL_CASES)
+def test_the_tail_gap_sign_is_exact_on_either_path(t, a, c, start, bits, monkeypatch):
+    # the threshold sends every tail to the enclosure first (0) or to the
+    # integers alone; the enclosure decides a gap of 1e-20 of the larger of
+    # the tail and its complement, and leaves one of 1e-45 of the tail, and
+    # equality, to the integers
+    exact = Fraction(combinatorics._tail_numerator(t, a, c, start), (a + c) ** t)
+    lo, hi = combinatorics._tail_bounds(t, a, c, start)
+    summed = []
+    kernel = combinatorics._tail_numerator
+    monkeypatch.setattr(combinatorics, "_EXACT_BITS", bits)
+    monkeypatch.setattr(combinatorics, "_tail_numerator", lambda *args: summed.append(args) or kernel(*args))
+    wide = max(exact, 1 - exact) / 10**20
+    for nudge, decided in [(0, False), (exact / 10**45, False), (wide, bits == 0)]:
+        for target, sign in [(exact - nudge, 1 if nudge else 0), (exact + nudge, -1 if nudge else 0)]:
+            summed.clear()
+            got, size = combinatorics._tail_gap(t, a, c, start, target)
+            # the size is off by at most the enclosure's width and a rounding
+            want = float(exact - target)
+            assert got == sign and abs(size - want) <= float(hi - lo) + abs(want) / 2**50, target
+            assert (summed == []) == decided
 
 
 def test_smallest_odd_majority_anchors():

@@ -1,18 +1,18 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
+from math import nextafter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta
 
 import nofkit
-from nofkit import harness
+from nofkit import combinatorics, harness
 from nofkit.discrepancy import CapExceeded
 from nofkit.harness import (
     CSV_HEADER,
@@ -257,18 +257,75 @@ def test_clopper_pearson_properties():
     assert wider_lo <= lo and wider_hi >= hi
 
 
+def tail_sign(t: int, start: int, p: Fraction, target: Fraction, failures: bool) -> int:
+    """Sign of P[Bin(t, p) >= start] - target, or of P[Bin(t, 1 - p) >=
+    start] - target with ``failures``, on integers."""
+    a, b = p.numerator, p.denominator
+    a, c = (b - a, a) if failures else (a, b - a)
+    diff = combinatorics._tail_numerator(t, a, c, start) * target.denominator - target.numerator * b**t
+    return (diff > 0) - (diff < 0)
+
+
+def assert_nearest_root(end: float, t: int, start: int, target: Fraction, failures: bool):
+    """``end`` is the float nearest the root of the tail = target, ties to
+    even: the tail, read at the end, its two float neighbours and the two
+    midpoints between them, passes the target from the lower midpoint to
+    the upper one and not before or after."""
+    below, above = Fraction(nextafter(end, 0)), Fraction(nextafter(end, 1))
+    x = Fraction(end)
+    points = [below, (below + x) / 2, x, (x + above) / 2, above]
+    signs = [tail_sign(t, start, p, target, failures) for p in points]
+    if failures:  # that tail falls as p grows
+        signs = [-s for s in signs]
+    assert signs == sorted(signs) and signs[0] < 0 < signs[4], (end, t, start, signs)
+    assert signs[1] <= 0 <= signs[3], (end, t, start, signs)
+    if 0 in (signs[1], signs[3]):  # the root is a midpoint
+        assert struct.unpack("<q", struct.pack("<d", end))[0] % 2 == 0
+
+
+def assert_exact_interval(wrong: int, trials: int, confidence: float):
+    half = Fraction((1 - confidence) / 2)
+    lo, hi = clopper_pearson(wrong, trials, confidence)
+    assert (lo == 0.0) == (wrong == 0) and (hi == 1.0) == (wrong == trials)
+    if wrong:  # P(X >= wrong) = alpha/2
+        assert_nearest_root(lo, trials, wrong, half, failures=False)
+    if wrong < trials:  # P(X <= wrong) = alpha/2, i.e. trials - wrong failures or more
+        assert_nearest_root(hi, trials, trials - wrong, half, failures=True)
+
+
 @pytest.mark.parametrize("confidence", [0.95, 0.99, 0.999])
 def test_clopper_pearson_bit_identical_to_beta_quantiles(confidence):
-    # the interval comes from the incomplete-beta inverses directly; it must
-    # equal the Beta distribution's ppf/isf exactly, not approximately
-    alpha = 1 - confidence
-    cases = [(w, t) for t in (*range(1, 121), 2000, 10000) for w in range(t + 1)]
-    wrong, trials = np.array(cases, dtype=float).T
-    with np.errstate(invalid="ignore"):
-        lo = np.where(wrong == 0, 0.0, beta.ppf(alpha / 2, wrong, trials - wrong + 1))
-        hi = np.where(wrong == trials, 1.0, beta.isf(alpha / 2, wrong + 1, trials - wrong))
-    want = [(float(a), float(b)) for a, b in zip(lo, hi)]
-    assert [clopper_pearson(w, t, confidence) for w, t in cases] == want
+    # the ends are Beta quantiles at alpha/2, and each must be the float
+    # nearest the exact quantile, checked on integers at every wrong count
+    for trials in range(1, 41):
+        for wrong in range(trials + 1):
+            assert_exact_interval(wrong, trials, confidence)
+
+
+def test_clopper_pearson_is_exact_at_every_wrong_count_of_120_trials():
+    for wrong in range(121):
+        assert_exact_interval(wrong, 120, 0.99)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2000).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))),
+       st.sampled_from([0.95, 0.99, 0.999]))
+def test_clopper_pearson_is_exact_on_a_sample_up_to_2000_trials(case, confidence):
+    assert_exact_interval(*case, confidence)
+
+
+@pytest.mark.parametrize("wrong", [0, 1, 100, 5000, 9999, 10000])
+def test_clopper_pearson_is_exact_at_10000_trials(wrong):
+    assert_exact_interval(wrong, 10000, 0.99)
+
+
+def test_clopper_pearson_refuses_counts_and_confidences_out_of_range():
+    for confidence in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="confidence"):
+            clopper_pearson(1, 10, confidence)
+    for wrong, trials in ((-1, 10), (11, 10)):
+        with pytest.raises(ValueError, match="wrong <= trials"):
+            clopper_pearson(wrong, trials)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -14,9 +14,9 @@ attribute, or imports it.
 module decodes codes with ``from_code`` inside a loop over
 ``range(1 << ...)``.
 
-SciPy stays off the start-up path: the one ``scipy`` import in the package
-sits inside ``harness.clopper_pearson``, none is at module level, and no
-module catches ``ImportError`` to fall back on another code path.
+No package module imports SciPy (the Clopper-Pearson interval comes from
+the package's own binomial tail kernel), and no module catches
+``ImportError`` to fall back on another code path.
 
 ``protocols.layout`` is the one derivation of a run's layout: no other
 package function calls ``_partition_rows``, ``active_budget`` or
@@ -28,8 +28,11 @@ package function calls ``_partition_rows``, ``active_budget`` or
 Every memo has an explicit bound: each ``lru_cache`` in the package, as a
 decorator or a call, sets ``maxsize`` to a positive integer literal, and
 ``functools.cache`` (unbounded) is not used. A memo hands every caller the
-same object, so no ``lru_cache`` function in ``protocols.py`` is annotated to
+same object, so no ``lru_cache`` function in the package is annotated to
 return a ``dict``, ``list`` or ``set``.
+
+One popcount: no package module counts characters of ``bin(x)`` or of a
+slice of it; ints have ``bit_count``.
 
 The benchmark's traced run wraps package functions by name, so every
 (module, attribute) its span table (``perfbench/spans.py``: FUNCTIONS,
@@ -281,13 +284,12 @@ def test_scipy_scans_find_each_import_with_its_scope_and_each_fallback():
     assert import_error_handlers(source) == [11, 13]
 
 
-def test_scipy_is_imported_only_inside_clopper_pearson():
+def test_no_package_module_imports_scipy():
     found = {
         module.name: imports_of(module.read_text(), "scipy")
         for module in sorted(PACKAGE.glob("*.py"))
     }
-    found = {name: [scope for scope, _ in hits] for name, hits in found.items() if hits}
-    assert found == {"harness.py": ["clopper_pearson"]}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -534,10 +536,49 @@ def test_memo_scan_flags_every_cached_container_return():
     assert mutable_memos(source) == ["a", "b", "c", "d"]
 
 
-def test_no_protocols_memo_returns_a_mutable_container():
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_memo_in_the_package_returns_a_mutable_container(module):
     # a shared dict or list from a memo is one caller's write away from
     # changing every later caller's answer
-    assert mutable_memos((PACKAGE / "protocols.py").read_text()) == []
+    assert mutable_memos(module.read_text()) == []
+
+
+def bin_counts(source: str) -> list[int]:
+    """Lines of every ``.count(...)`` called on a ``bin(...)`` call or on a
+    slice of one."""
+
+    def is_bin(node: ast.AST) -> bool:
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bin"
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "count"
+        and is_bin(node.func.value)
+    )
+
+
+def test_popcount_scan_flags_counts_on_bin_only():
+    source = (
+        "a = bin(x).count('1')\n"
+        "b = sum(bin(r).count(\"1\") & 1 for r in rows)\n"
+        "c = x.bit_count()\n"
+        "d = bin(x)[2:].count('1')\n"
+        "e = rows.count(1)\n"
+        "f = bin(x)\n"
+        "g = (\n"
+        "    bin(y)\n"
+        "    .count('0'))\n"
+    )
+    assert bin_counts(source) == [1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_counts_the_ones_of_bin(module):
+    assert bin_counts(module.read_text()) == []
 
 
 def parameters_named(source: str, name: str) -> list[tuple[str, int]]:

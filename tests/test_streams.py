@@ -90,9 +90,9 @@ def test_simulate_reports_are_pinned(protocol, n, k, source, trials, want):
          1, "d2a997ed3a4f88de"),
         (dict(protocol="gip", n=2, k=3, source="file", trials=5, exact_y=True),
          1, "eb3703accfbc0db6"),
-        (dict(protocol="mod3", n=3, k=4, trials=40), 1, "c1109a4561c4b473"),  # oracle applies
-        (dict(protocol="gip", n=3, k=2, trials=20), 1, "5cb061dbd44465d9"),  # blocked: no oracle
-        (dict(protocol="disj", n=8, k=3, trials=12), 2, "9f71492e53af7349"),  # two worker chunks
+        (dict(protocol="mod3", n=3, k=4, trials=40), 1, "66b13756c8e53fc4"),  # oracle applies
+        (dict(protocol="gip", n=3, k=2, trials=20), 1, "fed6447ffa8fb6f5"),  # blocked: no oracle
+        (dict(protocol="disj", n=8, k=3, trials=12), 2, "b01308c17e71c2e6"),  # two worker chunks
     ],
 )
 def test_simulate_tallies_are_pinned(fields, workers, want, tmp_path, monkeypatch):
