@@ -67,23 +67,24 @@ def nu_counts(n: int, k: int) -> tuple[int, int]:
 
 def _randbelow(rng: np.random.Generator, bound: int) -> int:
     """Uniform int in [0, bound) from a Generator; exact for 63-bit bounds,
-    otherwise 64 slack bits make the modulo bias < 2^-64."""
+    otherwise the one wide draw of ``_randbelow_each``."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     if bound == 1:
         return 0
     if bound <= 1 << 63:
         return int(rng.integers(bound))
-    nbytes = (bound.bit_length() + 64 + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") % bound
+    return _randbelow_each(rng, bound, 1)[0]
 
 
 def _randbelow_each(rng: np.random.Generator, bound: int, count: int) -> list[int]:
     """``count`` successive ``_randbelow(rng, bound)`` draws from one
     Generator call, with the values and the generator's state after the
     per-draw ones: a bounded ``integers`` call fills its array one draw after
-    another, and ``rng.bytes(m)`` takes the next ceil(m / 4) words of the
-    32-bit stream and keeps m bytes."""
+    another. Past 63 bits a draw reads ``nbytes`` little-endian bytes, the
+    bound's bits plus 64 slack bits (modulo bias < 2^-64), off the next
+    ceil(nbytes / 4) words of the 32-bit stream, as ``rng.bytes(nbytes)``
+    would, and reduces them modulo the bound."""
     if bound == 1:
         return [0] * count
     if bound <= 1 << 63:

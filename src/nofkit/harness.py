@@ -375,76 +375,51 @@ def _suite_facts() -> list[dict]:
     return rows
 
 
+def _fold(triples: Iterable[tuple]) -> tuple:
+    """XOR, AND and promise-AND (UNDEFINED past one zero or on any UNDEFINED) of
+    (gip, disj, udisj) triples: over blocks, the composed side; over rows, an
+    all-ones row being (1, 0, 0) and any other the identity, the stacked side."""
+    gip, disj, zeros, undefined = 0, 1, 0, False
+    for g, d, u in triples:
+        gip, disj, zeros = gip ^ g, disj & d, zeros + (u == 0)
+        undefined = undefined or u is UNDEFINED
+    return gip, disj, UNDEFINED if undefined or zeros > 1 else int(zeros == 0)
+
+
 def _identity_cell(m: int, n: int, k: int) -> bool:
-    """Exhaustively check the three block-composition identities at (m, n, k).
+    """Check, on every input of m stacked n x k blocks, that GIP of the stack
+    is the XOR of the block GIPs, DISJ the AND of the DISJs and UDISJ the
+    promise-AND of the UDISJs.
 
-    The bulk pass is vectorized. The library evaluators run once on every
-    n x k block, streamed in code order from all_inputs, into int8 value
-    tables. The composed side reads each block's slice of the m-block codes
-    in turn, folding XOR, AND and UAND (an undefined flag and a zero count)
-    block by block; the stacked side recounts all-ones rows directly off the
-    codes. A deterministic sample then runs the pure-Python eval_composed /
-    eval_* pair end to end.
-    """
-    nk = n * k
-    space = 1 << nk
-    gip_v = np.empty(space, dtype=np.int8)
-    disj_v = np.empty(space, dtype=np.int8)
-    udisj_v = np.empty(space, dtype=np.int8)  # -1 encodes undefined
-    for c, b in enumerate(all_inputs(n, k)):
-        gip_v[c] = eval_gip(b)
-        disj_v[c] = eval_disj(b)
-        u = eval_udisj(b)
-        udisj_v[c] = -1 if u is UNDEFINED else u
-
-    codes = np.arange(1 << (m * nk), dtype=np.int64)
-    lhs_gip = np.zeros(codes.shape, dtype=np.int8)
-    lhs_disj = np.ones(codes.shape, dtype=np.int8)
-    any_undef = np.zeros(codes.shape, dtype=bool)
-    zeros = np.zeros(codes.shape, dtype=np.int8)
-    for blk in range(m):
-        s = (codes >> (blk * nk)) & (space - 1)
-        lhs_gip ^= gip_v[s]
-        lhs_disj &= disj_v[s]
-        u = udisj_v[s]
-        any_undef |= u < 0
-        zeros += u == 0
-    lhs_udisj = np.where(any_undef | (zeros >= 2), -1, np.where(zeros == 0, 1, 0))
-
+    Every block is evaluated once, for its signature: its GIP, DISJ and UDISJ
+    values and its count of all-ones rows. Both sides at a stacked input are
+    functions of its blocks' signatures (the stacked side, of their summed
+    counts), and the blocks range independently over every block, so the
+    m-tuples over the set of signatures give exactly the (composed, stacked)
+    pairs that a walk over all 2^(mnk) stacked inputs compares. A fixed
+    sample then runs eval_composed and the evaluators on stacked matrices,
+    against the sides that their blocks' signatures give."""
     full = (1 << k) - 1
-    ones = np.zeros(codes.shape, dtype=np.int8)
-    for i in range(m * n):
-        ones += ((codes >> (i * k)) & full) == full
-    rhs_gip = ones & 1
-    rhs_disj = (ones == 0).astype(np.int8)
-    rhs_udisj = np.where(ones >= 2, -1, np.where(ones == 0, 1, 0))
 
-    ok = (
-        bool((lhs_gip == rhs_gip).all())
-        and bool((lhs_disj == rhs_disj).all())
-        and bool((lhs_udisj == rhs_udisj).all())
-    )
+    def sig(b: InputMatrix) -> tuple:
+        return eval_gip(b), eval_disj(b), eval_udisj(b), b.rows.count(full)
 
-    rng = np.random.default_rng(2026)
-    picks = {0, len(codes) - 1}
-    picks.update(int(c) for c in rng.integers(0, len(codes), size=128))
-    for code in sorted(picks):
+    def sides(sigs: list[tuple]) -> tuple:
+        return _fold(s[:3] for s in sigs), _fold([(1, 0, 0)] * sum(s[3] for s in sigs))
+
+    signatures = {sig(b) for b in all_inputs(n, k)}
+    if any(c != s for c, s in map(sides, product(signatures, repeat=m))):
+        return False
+    rng, size = np.random.default_rng(2026), 1 << (m * n * k)
+    for code in sorted({0, size - 1, *map(int, rng.integers(0, size, size=128))}):
         stacked = InputMatrix.from_code(m * n, k, code)
         blocks = [InputMatrix(k=k, rows=stacked.rows[b * n : (b + 1) * n]) for b in range(m)]
-        cg = eval_composed("xor", "gip", blocks)
-        cd = eval_composed("and", "disj", blocks)
-        cu = eval_composed("uand", "udisj", blocks)
-        cu = -1 if cu is UNDEFINED else cu
-        sg, sd = eval_gip(stacked), eval_disj(stacked)
-        su = eval_udisj(stacked)
-        su = -1 if su is UNDEFINED else su
-        if (cg, cd, cu) != (int(lhs_gip[code]), int(lhs_disj[code]), int(lhs_udisj[code])):
-            ok = False
-        if (sg, sd, su) != (int(rhs_gip[code]), int(rhs_disj[code]), int(rhs_udisj[code])):
-            ok = False
-        if (cg, cd, cu) != (sg, sd, su):
-            ok = False
-    return ok
+        composed = (eval_composed("xor", "gip", blocks), eval_composed("and", "disj", blocks),
+                    eval_composed("uand", "udisj", blocks))
+        library = eval_gip(stacked), eval_disj(stacked), eval_udisj(stacked)
+        if (composed, library) != sides([sig(b) for b in blocks]):
+            return False
+    return True
 
 
 def _suite_identities() -> list[dict]:

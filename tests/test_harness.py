@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import nextafter
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import nofkit
 from nofkit import combinatorics, harness
 from nofkit.discrepancy import CapExceeded
+from nofkit.functions import UNDEFINED
 from nofkit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -398,6 +400,71 @@ def test_identity_cell_fails_when_udisj_is_flipped_on_one_block(monkeypatch):
     one_hit = InputMatrix(k=3, rows=(7, 0, 0))  # one all-ones row: value 0
     monkeypatch.setattr(harness, "eval_udisj", lambda x: 1 if x == one_hit else real(x))
     assert not harness._identity_cell(2, 3, 3)
+
+
+def walked_verdict(m: int, n: int, k: int) -> bool:
+    """The composition identities at every stacked code: the fold of its
+    blocks' values through harness's evaluators against the stacked rule at
+    its all-ones row count."""
+    full = (1 << k) - 1
+    for code in range(1 << (m * n * k)):
+        stacked = InputMatrix.from_code(m * n, k, code)
+        blocks = [InputMatrix(k=k, rows=stacked.rows[b * n : (b + 1) * n]) for b in range(m)]
+        udisjs = [harness.eval_udisj(b) for b in blocks]
+        zeros = sum(u == 0 for u in udisjs)
+        composed = (
+            sum(harness.eval_gip(b) for b in blocks) & 1,
+            int(all(harness.eval_disj(b) for b in blocks)),
+            UNDEFINED if any(u is UNDEFINED for u in udisjs) or zeros > 1 else int(zeros == 0),
+        )
+        ones = stacked.rows.count(full)
+        if composed != (ones & 1, int(ones == 0), UNDEFINED if ones > 1 else int(ones == 0)):
+            return False
+    return True
+
+
+SMALL_CELLS = [
+    (m, n, k)
+    for m in range(1, 7)
+    for n in range(1, 6 // m + 1)
+    for k in (1, 2, 3)
+    if m * n * k <= 12
+]
+
+
+def one_block_fault(name: str, n: int, k: int):
+    """(evaluator name, faulty evaluator) wrong on one n x k block only: gip
+    flipped on the all-ones block, disj on the all-zeros block, udisj read 1
+    on the block whose one all-ones row is row 0."""
+    full = (1 << k) - 1
+    real = getattr(harness, name)
+    wrong, rows = {
+        "eval_gip": (lambda x: real(x) ^ 1, (full,) * n),
+        "eval_disj": (lambda x: real(x) ^ 1, (0,) * n),
+        "eval_udisj": (lambda x: 1, (full,) + (0,) * (n - 1)),
+    }[name]
+    block = InputMatrix(k=k, rows=rows)
+    return lambda x: wrong(x) if x == block else real(x)
+
+
+@pytest.mark.parametrize("m, n, k", SMALL_CELLS)
+@pytest.mark.parametrize("fault", [None, "eval_gip", "eval_disj", "eval_udisj"])
+def test_identity_cell_agrees_with_a_walk_over_every_stacked_code(m, n, k, fault, monkeypatch):
+    if fault is not None:
+        monkeypatch.setattr(harness, fault, one_block_fault(fault, n, k))
+    verdict = walked_verdict(m, n, k)
+    assert verdict == (fault is None)
+    assert harness._identity_cell(m, n, k) == verdict
+
+
+def test_identity_suite_holds_no_array_of_the_stacked_domain():
+    tracemalloc.start()
+    try:
+        harness._suite_identities()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_unknown_suite():
