@@ -170,11 +170,11 @@ def decompose_to_cylinders(
 ) -> list[tuple[int, CylinderIntersection]]:
     """Write a deterministic protocol as sum_t a_t * chi_t over its transcripts.
 
-    Enumerates the whole n x k domain, groups inputs by transcript, and builds
-    one cylinder per transcript from per-player consistency tables: player i's
-    table accepts a view iff i would reproduce its transcript messages given
-    the on-blackboard prefix. Players whose table accepts everything are
-    dropped. The result satisfies, for every input x,
+    One walk of the n x k domain maps each transcript to its output. Each
+    transcript gives a cylinder: player i's table accepts a view iff i would
+    send its message in it on the blackboard read off it (none if the
+    protocol is simultaneous, else its entries before i). Players whose
+    table accepts everything are dropped. The result satisfies, for every x,
 
         sum over terms of a_t * chi_t(x) == protocol output on x,
 
@@ -188,46 +188,35 @@ def decompose_to_cylinders(
 
     tape = RandomTape(0)  # deterministic protocols never touch it
     ctx = rule_context(p, tape)
-    by_transcript: dict[tuple[TranscriptEntry, ...], list[int]] = {}
-    outputs: dict[tuple[TranscriptEntry, ...], int] = {}
+    outputs: dict[tuple[TranscriptEntry, ...], int] = {}  # in first-seen order
     # per player, the first view in code order with each index: the hidden
     # column of its input is all zeros
     shown: dict[int, dict[int, View]] = {i: {} for i in range(1, k + 1)}
     view_idx: list[tuple[int, ...]] = []  # per input, every player's view index
-    for code, x in enumerate(all_inputs(n, k)):
+    for x in all_inputs(n, k):
         views = [player_view(x, i) for i in shown]
         view_idx.append(tuple(v.encode() for v in views))
         for i, v, idx in zip(shown, views, view_idx[-1]):
             shown[i].setdefault(idx, v)
         out = run(p, x, tape)
-        key = out.transcript.entries
-        by_transcript.setdefault(key, []).append(code)
-        outputs[key] = out.output
+        outputs[out.transcript.entries] = out.output
 
-    cost = max(Transcript(entries=key).cost_bits for key in by_transcript)
-    if len(by_transcript) > 2**cost:
+    cost = max(Transcript(entries=key).cost_bits for key in outputs)
+    if len(outputs) > 2**cost:
         raise ValueError("more transcripts than 2^cost; protocol is ill-formed")
 
     view_size = 1 << (n * (k - 1))
     terms: list[tuple[int, CylinderIntersection]] = []
-    for key in by_transcript:
-        prefix_of: dict[int, tuple[TranscriptEntry, ...]] = {}
-        seen: list[TranscriptEntry] = []
-        said = dict.fromkeys(range(1, k + 1), "")
-        for player, bits in key:
-            said[player] = bits
-        for i in range(1, k + 1):
-            prefix_of[i] = () if p.simultaneous else tuple(seen)
-            if said[i]:
-                seen.append((i, said[i]))
-
+    for key, output in outputs.items():
+        said = dict(key)
         players = []
         tables = []
         for i in range(1, k + 1):
+            board = () if p.simultaneous else tuple(e for e in key if e[0] < i)
             table = 0
             # consistency of player i with this transcript, view by view
             for idx in range(view_size):
-                if p.message_rule(i, shown[i][idx], prefix_of[i], ctx) == said[i]:
+                if p.message_rule(i, shown[i][idx], board, ctx) == said.get(i, ""):
                     table |= 1 << idx
             if table != (1 << view_size) - 1:
                 players.append(i)
@@ -238,14 +227,12 @@ def decompose_to_cylinders(
                 "message lengths leak input bits"
             )
         chi = CylinderIntersection(n=n, k=k, players=tuple(players), tables=tuple(tables))
-        terms.append((outputs[key], chi))
+        terms.append((output, chi))
 
-    # every input must be consistent with exactly one transcript, which also
-    # makes sum a_t * chi_t reproduce the protocol output pointwise; each
-    # term's membership is a lookup of the input's enumerated view indices
+    # every input must lie in exactly one term, which makes sum a_t * chi_t
+    # reproduce the output pointwise; membership looks up its view indices
     for idx in view_idx:
         members = (all(t >> idx[i - 1] & 1 for i, t in zip(c.players, c.tables)) for _, c in terms)
         if sum(members) != 1:
             raise ValueError("transcripts do not partition the domain; protocol is ill-formed")
     return terms
-

@@ -201,7 +201,7 @@ def exact_disc(q: CorrelationQuery, cap: int = DEFAULT_DISC_CAP) -> Union[Fracti
             value = _magnitude(sum(c for _, c in _passing(rows, tabs)))
             if best is None or value > best:
                 best = value
-    return best if best is not None else Fraction(0)
+    return best
 
 
 def enumerate_cylinders(n: int, k: int, players: Sequence[int]) -> Iterator[CylinderIntersection]:

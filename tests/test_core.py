@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nofkit.core import (
     CylinderIntersection,
@@ -10,7 +14,7 @@ from nofkit.core import (
     run,
 )
 from nofkit.harness import _announce_protocol, _constant_protocol
-from nofkit.matrices import InputMatrix
+from nofkit.matrices import InputMatrix, all_inputs
 from nofkit.tape import RandomTape
 
 
@@ -253,3 +257,83 @@ def test_decompose_terms_are_pinned(protocol, want):
     terms = decompose_to_cylinders(protocol)
     assert [(a, chi.players, chi.tables) for a, chi in terms] == want
     assert all((chi.n, chi.k) == (protocol.n, protocol.k) for _, chi in terms)
+
+
+def speaking_protocol(speaks, n, k):
+    """A deterministic simultaneous n x k protocol whose players send
+    speaks(i, view) and whose output is 0."""
+    return ProtocolSpec(
+        n=n, k=k, simultaneous=True, deterministic=True,
+        message_rule=lambda i, view, prefix, tape: speaks(i, view),
+        output_rule=lambda transcript, tape: 0,
+    )
+
+
+def test_decompose_rejects_more_transcripts_than_two_to_the_cost():
+    # player 1 sends "", "0" or "1" by its view: 3 transcripts of cost 1
+    p = speaking_protocol(lambda i, view: ["", "0", "1", "1"][view.encode()] if i == 1 else "", 2, 2)
+    with pytest.raises(ValueError, match=r"more transcripts than 2\^cost"):
+        decompose_to_cylinders(p)
+
+
+def test_decompose_rejects_a_transcript_constraining_more_than_min_cost_k_players():
+    # player i sends "11" iff x_(i+1) = 1 and x_(i+2) = 0, around the circle,
+    # where neither other player can: 4 transcripts of cost 2, and the silent
+    # one constrains all 3 players
+    def speaks(i, view):
+        after, next_after = i % 3 + 1, (i + 1) % 3 + 1
+        return "11" if view.bit(0, after) and not view.bit(0, next_after) else ""
+
+    with pytest.raises(ValueError, match="constrains more players than min"):
+        decompose_to_cylinders(speaking_protocol(speaks, 1, 3))
+
+
+def test_decompose_rejects_transcripts_that_do_not_partition_the_domain():
+    # each player announces the other's bit AND NOT its own, read off the
+    # source: input 11 sends 00, but decompose reads each view with its hidden
+    # bit 0, where that player sends 1, so 11 lies in no term
+    def speaks(i, view):
+        return str(view.bit(0, 3 - i) & (1 - view.source.bit(0, i)))
+
+    with pytest.raises(ValueError, match="do not partition the domain"):
+        decompose_to_cylinders(speaking_protocol(speaks, 1, 2))
+
+
+def table_protocol(n, k, simultaneous, seed):
+    """A deterministic protocol drawn from seed: player i sends a fixed
+    0-2 bits, looked up by its view index and, when sequential, its
+    blackboard; the output is looked up by the transcript."""
+    lengths = [random.Random(f"{seed}:len:{i}").randrange(3) for i in range(1, k + 1)]
+
+    def message_rule(i, view, prefix, tape):
+        bits = random.Random(f"{seed}:msg:{i}:{view.encode()}:{prefix}").getrandbits(2)
+        return format(bits, "02b")[2 - lengths[i - 1]:]
+
+    def output_rule(transcript, tape):
+        return random.Random(f"{seed}:out:{transcript.entries}").randrange(2)
+
+    return ProtocolSpec(
+        n=n, k=k, simultaneous=simultaneous, deterministic=True,
+        message_rule=message_rule, output_rule=output_rule,
+        length_rule=lambda i, tape: lengths[i - 1],
+    )
+
+
+SMALL_SHAPES = [(n, k) for n in range(1, 7) for k in range(1, 7) if n * k <= 6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_decompose_matches_run_on_random_small_protocols(shape, simultaneous, seed):
+    p = table_protocol(*shape, simultaneous, seed)
+    terms = decompose_to_cylinders(p)
+    tape = RandomTape(0)
+    transcripts = set()
+    for x in all_inputs(*shape):
+        out = run(p, x, tape)
+        transcripts.add(out.transcript.entries)
+        hits = [a for a, chi in terms if chi.evaluate(x)]
+        assert hits == [out.output]
+    assert len(terms) == len(transcripts)
+    cost = max(Transcript(entries=key).cost_bits for key in transcripts)
+    assert len(terms) <= 1 << cost

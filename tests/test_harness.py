@@ -402,6 +402,21 @@ def test_identity_cell_fails_when_udisj_is_flipped_on_one_block(monkeypatch):
     assert not harness._identity_cell(2, 3, 3)
 
 
+def test_identity_cell_fails_when_the_block_fold_is_wrong_on_a_pair(monkeypatch):
+    # flip the composed GIP where two blocks each carry exactly two all-ones
+    # rows (UNDEFINED with GIP 0): only pairs of signatures see this fault
+    real = harness._fold
+
+    def fold(triples):
+        triples = list(triples)
+        gip, disj, udisj = real(triples)
+        pair = sum(u is UNDEFINED and g == 0 for g, _, u in triples) == 2
+        return gip ^ pair, disj, udisj
+
+    monkeypatch.setattr(harness, "_fold", fold)
+    assert not harness._identity_cell(2, 3, 3)
+
+
 def walked_verdict(m: int, n: int, k: int) -> bool:
     """The composition identities at every stacked code: the fold of its
     blocks' values through harness's evaluators against the stacked rule at
