@@ -3,14 +3,14 @@
 Discrepancy of F under weight mu, for a family of cylinder intersections, is
 the maximum of |sum_x mu(x) (-1)^F(x) chi(x)| over the family. The family is
 either a fixed player subset S (only those players get non-constant tables),
-a budget ell (all subsets of size <= ell), or every player. Everything here
-is brute force: the point is exact desk-scale values to hold the analytic
-bounds against, not scalability. exact_disc enumerates all table tuples, so
-it is doubly exponential and guarded by a cap; heuristic_disc is a local
-search usable far past that cap, under a cap of its own on the 2^(nk)
-inputs it sweeps; bns_rhs evaluates the tensor-product quantity
-that upper-bounds |E phi chi|^(2^k) for every cylinder intersection chi,
-on the payoff array phi that payoff_array builds.
+a budget ell (all subsets of size <= ell), or every player. The point is
+exact desk-scale values to hold the analytic bounds against, not
+scalability. exact_disc enumerates all table tuples, so it is doubly
+exponential and guarded by a cap; heuristic_disc is a local search usable
+far past that cap, under a cap of its own on the 2^(nk) inputs it sweeps;
+bns_rhs gives, as a Fraction, the tensor-product quantity that upper-bounds
+|E phi chi|^(2^k) for every cylinder intersection chi, with phi the sign of
+gip or disj or the mod-3 character, from the law of one row's column pairs.
 
 correlation, exact_disc and the heuristic sweep share one family rule
 (_subset_candidates) and one membership test (_passing), which reads each
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .combinatorics import binom_leq
 from .core import CylinderIntersection
@@ -293,37 +292,66 @@ def _sweep_to_fixed_point(rows, tabs, view_space, phase) -> Union[Fraction, floa
 # tensor-product bound
 
 
-def bns_rhs(phi: np.ndarray, cap: int = DEFAULT_DISC_CAP) -> float:
-    """E over independent pairs (u_i^0, u_i^1) of the 2^k-fold product of
-    phi(u^z) over z in {0,1}^k, conjugated at odd-weight z.
+def _convolve(law: dict[int, int], step: dict[int, int], op) -> dict[int, int]:
+    """The law of op(a, b) for independent a ~ law and b ~ step, both laws
+    given as counts and the result merged by value."""
+    out: dict[int, int] = {}
+    for a, c in law.items():
+        for b, d in step.items():
+            key = op(a, b)
+            out[key] = out.get(key, 0) + c * d
+    return out
 
-    For every cylinder intersection chi on the same product set,
-    |E phi chi|^(2^k) is at most this value, which makes it a discrepancy
-    bound that needs no cylinder enumeration. phi is a complex array whose
-    i-th axis ranges over player i's universe.
+
+def bns_rhs(fn: str, n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> Fraction:
+    """E over independent uniform pairs (u_i^0, u_i^1) of n-bit columns of
+    the product of phi(u^z) over z in {0,1}^k, conjugated at odd-weight z,
+    with phi = (-1)^fn for "gip" and "disj" and the mod-3 character for
+    "mod3char": the Babai-Nisan-Szegedy bound on |E phi chi|^(2^k) for every
+    cylinder intersection chi.
+
+    The rows are iid. At one row, column i's pair of bits is the set S_i of
+    the z_i with u_i^(z_i) = 1, and the row of u^z is all ones iff z lies in
+    S_1 x ... x S_k, odd iff an odd number of i have z_i in S_i. A walk over
+    the columns gives the law of a row's z-mask; a walk over the rows folds
+    the masks into the parity of the all-ones count summed over z (gip), the
+    z with an all-ones row (disj), or sum_z (-1)^|z| [row odd] mod 3.
     """
-    sizes = phi.shape
-    k = phi.ndim
-    check_bns_pairs(sizes, cap)
-    grand = np.ones([1] * (2 * k), dtype=np.complex128)
-    for z in range(1 << k):
-        shape = [1] * (2 * k)
-        for i in range(k):
-            shape[2 * i + ((z >> i) & 1)] = sizes[i]
-        term = phi.reshape(shape)
-        if z.bit_count() & 1:
-            term = np.conj(term)
-        grand = grand * term
-    value = complex(grand.mean())
-    if abs(value.imag) > 1e-9:
-        raise AssertionError(f"tensor average should be real, got {value}")
-    return max(value.real, 0.0)
+    if fn not in ("gip", "disj", "mod3char"):
+        raise ValueError(f"unknown fn {fn!r}")
+    check_bns_pairs((1 << n,) * k, cap)
+    char = fn == "mod3char"
+    zs = range(1 << k)
+    full = (1 << len(zs)) - 1
+    row = {0 if char else full: 1}
+    for i in range(k):
+        ones = sum(1 << z for z in zs if z >> i & 1)  # S_i = {}, {0}, {1}, {0,1}:
+        sets = dict.fromkeys((0, full ^ ones, ones, full), 1)
+        row = _convolve(row, sets, operator.xor if char else operator.and_)
+    if fn == "gip":
+        fold = lambda parity, mask: parity ^ (mask.bit_count() & 1)
+    elif fn == "disj":  # (-1)^(2^k - |union|) = (-1)^|union|
+        fold = operator.or_
+    else:
+        even = sum(1 << z for z in zs if not z.bit_count() & 1)
+        fold = lambda e, mask: (e + 2 * (mask & even).bit_count() - mask.bit_count()) % 3
+    law = {0: 1}
+    for _ in range(n):
+        law = _convolve(law, row, fold)
+    if char:  # sum_e c_e omega^e is real iff c_1 = c_2, and then it is c_0 - c_1
+        c0, c1, c2 = (law.get(e, 0) for e in range(3))
+        if c1 != c2:
+            raise AssertionError(f"tensor average should be real, got counts {c0, c1, c2}")
+        total = c0 - c1
+    else:
+        total = sum(-c if state.bit_count() & 1 else c for state, c in law.items())
+    return Fraction(total, 4 ** (n * k))
 
 
 def check_bns_pairs(sizes: Sequence[int], cap: int) -> None:
     """The cap check of bns_rhs, which averages over prod_i s_i^2 pairs
-    (u^0, u^1); it reads phi's shape alone, so callers run it before they
-    build phi."""
+    (u^0, u^1) of a product set with player sizes s_i; it reads the sizes
+    alone, so bns_rhs runs it before any walk."""
     pairs = math.prod(s * s for s in sizes)
     if pairs > cap:
         power = pairs.bit_length() - 1
@@ -331,33 +359,9 @@ def check_bns_pairs(sizes: Sequence[int], cap: int) -> None:
         raise CapExceeded(f"{count} (u0,u1) tuples exceed cap {cap}")
 
 
-def payoff_array(fn: str, n: int, k: int) -> np.ndarray:
-    """phi of fn ("gip", "disj" or "mod3char") as a k-axis array, player i's
-    axis ranging over its column's value. Row r is bit r of every column, so
-    one reduction of the columns serves all three: their AND holds the
-    all-ones rows (gip's parity, disj's emptiness), their XOR the row
-    parities (the mod-3 character's count)."""
-    values = np.arange(1 << n, dtype=np.int64)
-    pop = np.array([v.bit_count() for v in range(1 << n)], dtype=np.int64)
-    op = np.bitwise_xor if fn == "mod3char" else np.bitwise_and
-    acc = np.full((1 << n,) * k, 0 if fn == "mod3char" else (1 << n) - 1, dtype=np.int64)
-    for i in range(k):
-        shape = [1] * k
-        shape[i] = 1 << n
-        acc = op(acc, values.reshape(shape))
-    if fn == "mod3char":
-        return np.exp(2j * np.pi * (pop[acc] % 3) / 3)
-    bad = pop[acc] & 1 if fn == "gip" else acc == 0  # eval_gip, eval_disj
-    return 1.0 - 2.0 * bad
-
-
-def mod3_char_array(n: int, k: int) -> np.ndarray:
-    """The mod-3 character's phi: ``payoff_array``'s mod3char case."""
-    return payoff_array("mod3char", n, k)
-
-
-def mod3_char_bns_closed_form(n: int, k: int) -> float:
-    return float((1 - 3 * Fraction(1, 2 ** (k + 1))) ** n)
+def mod3_char_bns_closed_form(n: int, k: int) -> Fraction:
+    """bns_rhs("mod3char", n, k) in closed form: (1 - 3/2^(k+1))^n."""
+    return (1 - Fraction(3, 2 ** (k + 1))) ** n
 
 
 # ---------------------------------------------------------------------------

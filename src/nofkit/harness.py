@@ -22,8 +22,6 @@ from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .combinatorics import binom_leq, binom_sandwich_ok, fact21_check, tail_root
 from .core import ProtocolSpec, decompose_to_cylinders, run
 from .discrepancy import CapExceeded, bound_suite
@@ -410,8 +408,9 @@ def _identity_cell(m: int, n: int, k: int) -> bool:
     signatures = {sig(b) for b in all_inputs(n, k)}
     if any(c != s for c, s in map(sides, product(signatures, repeat=m))):
         return False
-    rng, size = np.random.default_rng(2026), 1 << (m * n * k)
-    for code in sorted({0, size - 1, *map(int, rng.integers(0, size, size=128))}):
+    size = 1 << (m * n * k)
+    labels = [f"identity/m{m}/n{n}/k{k}/{j}" for j in range(128)]
+    for code in sorted({0, size - 1, *RandomTape(2026).randbelow_each(labels, size)}):
         stacked = InputMatrix.from_code(m * n, k, code)
         blocks = [InputMatrix(k=k, rows=stacked.rows[b * n : (b + 1) * n]) for b in range(m)]
         composed = (eval_composed("xor", "gip", blocks), eval_composed("and", "disj", blocks),

@@ -25,7 +25,6 @@ from nofkit.discrepancy import (
     correlation,
     enumerate_cylinders,
     exact_disc,
-    mod3_char_array,
 )
 from nofkit.distributions import make_dist
 from nofkit.functions import eval_gip, eval_mod3xor, gip_spec
@@ -382,13 +381,11 @@ def test_c08_character_correlation_bounds():
     t0 = time.monotonic()
     for n in range(1, 4):
         for k in range(1, 4):
-            rhs = bns_rhs(mod3_char_array(n, k))
-            closed = (1 - 3 * 2.0 ** -(k + 1)) ** n
-            assert rhs == pytest.approx(closed, abs=1e-12)
-    assert bns_rhs(mod3_char_array(1, 1)) == pytest.approx(0.25, abs=1e-12)
+            assert bns_rhs("mod3char", n, k) == (1 - Fraction(3, 2 ** (k + 1))) ** n
+    assert bns_rhs("mod3char", 1, 1) == Fraction(1, 4)
 
     for n, k in [(1, 1), (1, 2), (2, 2)]:
-        rhs = bns_rhs(mod3_char_array(n, k))
+        rhs = bns_rhs("mod3char", n, k)
         q = CorrelationQuery(CharacterSpec(n, k))
         players = tuple(range(1, k + 1))
         for chi in enumerate_cylinders(n, k, players):

@@ -141,15 +141,16 @@ def test_disc_bns_matches_closed_form(tmp_path):
         tmp_path)
     assert code == 0
     # rhs (1 - 3/2^(k+1))^n = 1/4, reported as the 2^k-th root
-    assert payload["value"] == pytest.approx(0.25 ** 0.5)
+    assert payload["value"] == 0.25 ** 0.5
+    assert payload["value_repr"] == "(1/4)^(1/2)"
 
 
 @pytest.mark.parametrize("dist", ["sigma", "upsilon:ell=1", "mu"])
 def test_disc_bns_refuses_non_uniform_dist(dist, monkeypatch, capsys):
-    def unbuilt(*args):
-        raise AssertionError("payoff array built before the refusal")
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("bns_rhs ran before the refusal")
 
-    monkeypatch.setattr(cli, "payoff_array", unbuilt)
+    monkeypatch.setattr(cli, "bns_rhs", unbuilt)
     code = main(["disc", "--fn", "gip", "--n", "1", "--k", "2", "--mode", "bns", "--dist", dist])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -306,12 +307,12 @@ def test_source_flags_conflict_is_an_argparse_error():
 
 @pytest.mark.parametrize("mode", ["exact", "bns", "heuristic"])
 def test_disc_refusal_is_one_error_line_naming_the_cap(mode, monkeypatch, capsys):
-    # n=3, k=6: 2^18 inputs and a (2^3)^6 payoff array, neither may be built
+    # n=3, k=6: 2^18 inputs and 2^36 (u0,u1) pairs, none may be walked
     def unbuilt(*args):
         raise AssertionError("built before the cap check")
 
     monkeypatch.setattr(discrepancy, "_signed_items", unbuilt)
-    monkeypatch.setattr(cli, "payoff_array", unbuilt)
+    monkeypatch.setattr(discrepancy, "_convolve", unbuilt)
     code = main(["disc", "--fn", "gip", "--n", "3", "--k", "6", "--mode", mode])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -345,7 +346,7 @@ def test_disc_refuses_ell_before_any_enumeration(ell, mode, monkeypatch, capsys)
     def unrun(*args, **kwargs):
         raise AssertionError("enumerated before the --ell check")
 
-    for name in ("exact_disc", "heuristic_disc", "payoff_array", "bound_suite"):
+    for name in ("exact_disc", "heuristic_disc", "bns_rhs", "bound_suite"):
         monkeypatch.setattr(cli, name, unrun)
     code = main(["disc", "--fn", "gip", "--n", "3", "--k", "2", "--mode", mode, "--ell", ell])
     assert code == 1

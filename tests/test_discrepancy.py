@@ -19,12 +19,10 @@ from nofkit.discrepancy import (
     enumerate_cylinders,
     exact_disc,
     heuristic_disc,
-    mod3_char_array,
     mod3_char_bns_closed_form,
-    payoff_array,
 )
 from nofkit.distributions import make_dist
-from nofkit.functions import eval_disj, eval_gip, gip_spec, udisj_spec
+from nofkit.functions import disj_spec, eval_disj, eval_gip, gip_spec, udisj_spec
 from nofkit.matrices import InputMatrix
 from nofkit.tape import RandomTape
 
@@ -247,73 +245,105 @@ def test_char_all_ones_anchor():
     assert correlation(CorrelationQuery(CharacterSpec(1, 1)), chi) == pytest.approx(0.5)
 
 
-def test_char_array_matches_spec_evaluate():
-    for n, k in [(1, 1), (2, 2), (1, 3)]:
-        spec = CharacterSpec(n=n, k=k)
-        arr = mod3_char_array(n, k)
-        for code in range(1 << (n * k)):
-            x = InputMatrix.from_code(n, k, code)
-            idx = tuple(
-                sum(x.bit(r, j + 1) << r for r in range(n)) for j in range(k)
-            )
-            assert arr[idx] == pytest.approx(spec.evaluate(x))
-
-
-def reference_mod3_char_array(n, k):
-    """The mod-3 character's phi as first written, off the columns' XOR."""
-    pop = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
-    idx = np.zeros((1 << n,) * k, dtype=np.int64)
-    for i in range(k):
-        shape = [1] * k
-        shape[i] = 1 << n
-        idx = np.bitwise_xor(idx, np.arange(1 << n, dtype=np.int64).reshape(shape))
-    return np.exp(2j * np.pi * (pop[idx] % 3) / 3)
-
-
 def reference_payoff_array(fn, n, k):
-    """The payoff array as first written: one InputMatrix per cell."""
+    """phi of fn as a k-axis array, player i's axis ranging over its column's
+    value, built one InputMatrix per cell from the evaluators."""
     if fn == "mod3char":
-        return reference_mod3_char_array(n, k)
-    evaluate = eval_gip if fn == "gip" else eval_disj
+        phi = CharacterSpec(n, k).evaluate
+    else:
+        evaluate = eval_gip if fn == "gip" else eval_disj
+        phi = lambda x: 1.0 - 2.0 * evaluate(x)
     shape = (1 << n,) * k
-    out = np.empty(shape, dtype=np.float64)
+    out = np.empty(shape, dtype=np.complex128 if fn == "mod3char" else np.float64)
     for idx in np.ndindex(shape):
         rows = tuple(sum(((idx[j] >> r) & 1) << j for j in range(k)) for r in range(n))
-        out[idx] = 1.0 - 2.0 * evaluate(InputMatrix(k=k, rows=rows))
+        out[idx] = phi(InputMatrix(k=k, rows=rows))
     return out
 
 
+def reference_bns_rhs(phi):
+    """bns_rhs as first written: the mean over independent pairs of the
+    2^k-fold product of phi(u^z), conjugated at odd-weight z, broadcast over
+    a 2k-axis complex array."""
+    k = phi.ndim
+    grand = np.ones([1] * (2 * k), dtype=np.complex128)
+    for z in range(1 << k):
+        shape = [1] * (2 * k)
+        for i in range(k):
+            shape[2 * i + ((z >> i) & 1)] = phi.shape[i]
+        term = phi.reshape(shape)
+        if z.bit_count() & 1:
+            term = np.conj(term)
+        grand = grand * term
+    value = complex(grand.mean())
+    assert abs(value.imag) <= 1e-9
+    return value.real
+
+
+CAP_SHAPES = [(n, k) for n in range(1, 11) for k in range(1, 11) if 4 ** (n * k) <= 1 << 20]
+
+
 @pytest.mark.parametrize("fn", ["gip", "disj", "mod3char"])
-def test_payoff_array_equals_the_per_cell_reference(fn):
-    for n in range(1, 13):
-        for k in range(1, 12 // n + 1):
-            want = reference_payoff_array(fn, n, k)
-            got = payoff_array(fn, n, k)
-            assert got.dtype == want.dtype and got.shape == want.shape, (n, k)
-            assert got.tobytes() == want.tobytes(), (n, k)
-    assert mod3_char_array(2, 3).tobytes() == payoff_array("mod3char", 2, 3).tobytes()
+def test_bns_rhs_matches_numpy_over_the_per_cell_reference(fn):
+    for n, k in [(n, k) for n, k in CAP_SHAPES if n * k <= 8]:
+        got = bns_rhs(fn, n, k)
+        want = reference_bns_rhs(reference_payoff_array(fn, n, k))
+        assert isinstance(got, Fraction)
+        if fn == "mod3char":  # the character's floats round; the signs' sums are exact
+            assert abs(float(got) - want) <= 1e-12, (n, k)
+        else:
+            assert float(got) == want, (n, k)
 
 
 def test_bns_rhs_closed_form():
-    assert bns_rhs(mod3_char_array(1, 1)) == pytest.approx(0.25)
-    for n in (1, 2, 3):
-        for k in (1, 2, 3):
-            got = bns_rhs(mod3_char_array(n, k))
-            want = mod3_char_bns_closed_form(n, k)
-            assert got == pytest.approx(want), (n, k)
+    assert len(CAP_SHAPES) == 27
+    assert bns_rhs("mod3char", 1, 1) == Fraction(1, 4)
+    for n, k in CAP_SHAPES:
+        # one row's factor is E (-1)^(prod_i |S_i|) for gip
+        assert bns_rhs("gip", n, k) == (1 - Fraction(2, 2 ** k)) ** n, (n, k)
+        assert bns_rhs("mod3char", n, k) == mod3_char_bns_closed_form(n, k), (n, k)
+        assert mod3_char_bns_closed_form(n, k) == (1 - Fraction(3, 2 ** (k + 1))) ** n
+
+
+def test_bns_rhs_disj_at_the_widest_shapes():
+    # computed once from reference_bns_rhs(reference_payoff_array("disj", n, k))
+    pinned = {
+        (1, 9): Fraction(255, 256),
+        (3, 3): Fraction(7185, 16384),
+        (9, 1): Fraction(65025, 65536),
+        (1, 10): Fraction(511, 512),
+        (2, 5): Fraction(14281, 16384),
+        (5, 2): Fraction(43831, 131072),
+        (10, 1): Fraction(261121, 262144),
+    }
+    assert sorted(pinned) == sorted((n, k) for n, k in CAP_SHAPES if n * k >= 9)
+    for (n, k), want in pinned.items():
+        assert bns_rhs("disj", n, k) == want, (n, k)
 
 
 def test_bns_rhs_bounds_every_cylinder_correlation():
     for n, k in [(1, 1), (1, 2), (2, 2)]:
-        rhs = bns_rhs(mod3_char_array(n, k))
+        rhs = bns_rhs("mod3char", n, k)
         for chi in enumerate_cylinders(n, k, tuple(range(1, k + 1))):
             corr = correlation(CorrelationQuery(CharacterSpec(n, k)), chi)
             assert corr ** (1 << k) <= rhs + 1e-9
 
 
+@pytest.mark.parametrize("fn, spec", [("gip", gip_spec), ("disj", disj_spec)])
+def test_bns_rhs_bounds_every_cylinder_correlation_exactly(fn, spec):
+    for n, k in [(1, 1), (1, 2), (2, 2)]:
+        rhs = bns_rhs(fn, n, k)
+        for chi in enumerate_cylinders(n, k, tuple(range(1, k + 1))):
+            corr = correlation(CorrelationQuery(spec(n, k)), chi)
+            assert not isinstance(corr, float)
+            assert corr ** (1 << k) <= rhs, (n, k, chi)
+
+
 def test_bns_rhs_cap():
     with pytest.raises(CapExceeded):
-        bns_rhs(mod3_char_array(2, 2), cap=10)
+        bns_rhs("mod3char", 2, 2, cap=10)
+    with pytest.raises(ValueError, match="unknown fn"):
+        bns_rhs("udisj", 1, 1)
 
 
 def test_bns_pair_check_needs_only_the_shape():

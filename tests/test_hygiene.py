@@ -23,7 +23,10 @@ package function calls ``_partition_rows``, ``active_budget`` or
 ``smallest_odd_majority``, the three rules it is built from.
 
 ``protocols`` votes in one place: inside it only ``_vote`` calls
-``core.plurality``, and it imports no numpy.
+``core.plurality``.
+
+numpy only where sampling needs it: the package modules that import it are
+exactly ``NUMPY_MODULES``, the input sampler and the tape's bulk stream.
 
 Every memo has an explicit bound: each ``lru_cache`` in the package, as a
 decorator or a call, sets ``maxsize`` to a positive integer literal, and
@@ -365,12 +368,20 @@ def test_only_layout_calls_the_layout_rules():
     assert calls == {("protocols.py", "layout", name) for name in LAYOUT_RULES}
 
 
-def test_protocols_votes_in_one_place_without_numpy():
+def test_protocols_votes_in_one_place():
     # every plan reader votes through _vote, so the vote cannot fork again
     source = (PACKAGE / "protocols.py").read_text()
-    assert imports_of(source, "numpy") == []
     calls = [(scope, name) for scope, name, _ in calls_of(source, {"plurality"})]
     assert calls == [("_vote", "plurality")]
+
+
+# the input sampler and tape.stream; drawing inputs from the tape empties it
+NUMPY_MODULES = {"distributions.py", "tape.py"}
+
+
+def test_numpy_only_where_sampling_needs_it():
+    found = {m.name for m in PACKAGE.glob("*.py") if imports_of(m.read_text(), "numpy")}
+    assert found == NUMPY_MODULES
 
 
 def traced_attributes(source: str) -> list[tuple[str, str]]:
