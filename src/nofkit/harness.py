@@ -69,6 +69,8 @@ def parse_eps(text) -> Fraction:
         eps = Fraction(str(text))
     except ZeroDivisionError:
         raise ValueError(f"eps: zero denominator in {text}") from None
+    except ValueError:
+        raise ValueError(f"eps: not a rational or decimal number: {text}") from None
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {text}")
     return eps
@@ -283,7 +285,7 @@ def simulate(cfg: ExperimentConfig, workers: int = 1) -> dict:
         raise CostCeilingExceeded(f"measured cost {tally.cost_max} above ceiling {protocol.cost_ceiling}")
     ci_low, ci_high = (None, None) if cfg.exact_y else clopper_pearson(tally.wrong, tally.runs)
     lay = layout(cfg.protocol, cfg.n, cfg.k, eps)
-    oracle = lay.single_width is not None  # exact_error_oracle's regime
+    oracle = exact_error_oracle(cfg.protocol, cfg.n, cfg.k, eps) is not None
     return {
         "schema": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -373,15 +375,9 @@ def _suite_facts() -> list[dict]:
     return rows
 
 
-def _fold(triples: Iterable[tuple]) -> tuple:
-    """XOR, AND and promise-AND (UNDEFINED past one zero or on any UNDEFINED) of
-    (gip, disj, udisj) triples: over blocks, the composed side; over rows, an
-    all-ones row being (1, 0, 0) and any other the identity, the stacked side."""
-    gip, disj, zeros, undefined = 0, 1, 0, False
-    for g, d, u in triples:
-        gip, disj, zeros = gip ^ g, disj & d, zeros + (u == 0)
-        undefined = undefined or u is UNDEFINED
-    return gip, disj, UNDEFINED if undefined or zeros > 1 else int(zeros == 0)
+def _stacked_rule(ones: int) -> tuple:
+    """(GIP, DISJ, UDISJ) of a matrix with ``ones`` all-ones rows."""
+    return ones & 1, int(ones == 0), UNDEFINED if ones > 1 else int(ones == 0)
 
 
 def _identity_cell(m: int, n: int, k: int) -> bool:
@@ -389,24 +385,16 @@ def _identity_cell(m: int, n: int, k: int) -> bool:
     is the XOR of the block GIPs, DISJ the AND of the DISJs and UDISJ the
     promise-AND of the UDISJs.
 
-    Every block is evaluated once, for its signature: its GIP, DISJ and UDISJ
-    values and its count of all-ones rows. Both sides at a stacked input are
-    functions of its blocks' signatures (the stacked side, of their summed
-    counts), and the blocks range independently over every block, so the
-    m-tuples over the set of signatures give exactly the (composed, stacked)
-    pairs that a walk over all 2^(mnk) stacked inputs compares. A fixed
-    sample then runs eval_composed and the evaluators on stacked matrices,
-    against the sides that their blocks' signatures give."""
+    Each distinct block signature (GIP, DISJ, UDISJ, count of all-ones rows)
+    must equal the stacked rule at its count. That is enough: if every block
+    obeys the rule, the XOR, AND and promise-AND of m block triples equal the
+    rule at the summed count, the stack's, so the identities hold on all
+    2^(mnk) stacked inputs. A fixed seeded sample then runs eval_composed and
+    the evaluators on stacks; both must equal the rule at the stack's count."""
     full = (1 << k) - 1
-
-    def sig(b: InputMatrix) -> tuple:
-        return eval_gip(b), eval_disj(b), eval_udisj(b), b.rows.count(full)
-
-    def sides(sigs: list[tuple]) -> tuple:
-        return _fold(s[:3] for s in sigs), _fold([(1, 0, 0)] * sum(s[3] for s in sigs))
-
-    signatures = {sig(b) for b in all_inputs(n, k)}
-    if any(c != s for c, s in map(sides, product(signatures, repeat=m))):
+    signatures = {(eval_gip(b), eval_disj(b), eval_udisj(b), b.rows.count(full))
+                  for b in all_inputs(n, k)}
+    if any(s[:3] != _stacked_rule(s[3]) for s in signatures):
         return False
     size = 1 << (m * n * k)
     labels = [f"identity/m{m}/n{n}/k{k}/{j}" for j in range(128)]
@@ -416,23 +404,17 @@ def _identity_cell(m: int, n: int, k: int) -> bool:
         composed = (eval_composed("xor", "gip", blocks), eval_composed("and", "disj", blocks),
                     eval_composed("uand", "udisj", blocks))
         library = eval_gip(stacked), eval_disj(stacked), eval_udisj(stacked)
-        if (composed, library) != sides([sig(b) for b in blocks]):
+        if not composed == library == _stacked_rule(stacked.rows.count(full)):
             return False
     return True
 
 
 def _suite_identities() -> list[dict]:
-    rows = []
-    for m in range(1, 7):
-        for n in range(1, 6 // m + 1):
-            ok = all(_identity_cell(m, n, k) for k in (1, 2, 3))
-            rows.append(
-                {
-                    "check": f"composition identities m={m} n={n}, k <= 3, exhaustive",
-                    "ok": ok,
-                }
-            )
-    return rows
+    return [
+        {"check": f"composition identities m={m} n={n}, k <= 3, exhaustive",
+         "ok": all(_identity_cell(m, n, k) for k in (1, 2, 3))}
+        for m in range(1, 7) for n in range(1, 6 // m + 1)
+    ]
 
 
 def _suite_bounds() -> list[dict]:

@@ -165,7 +165,10 @@ def parse_matrix(text: str) -> InputMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("header must be 'n k'")
-    n, k = int(head[0]), int(head[1])
+    try:
+        n, k = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"header: n and k must be integers, got {lines[0]!r}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []

@@ -97,6 +97,27 @@ def test_sweep_bad_eps_is_one_error_line(eps, fmt, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("eps", ["nan", "abc"])
+def test_simulate_non_numeric_eps_names_its_field(eps, capsys):
+    code = main(["simulate", "--protocol", "gip", "--n", "2", "--k", "3", "--eps", eps])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"error: eps: not a rational or decimal number: {eps}"]
+    assert captured.out == ""
+
+
+def test_matrix_file_with_a_non_integer_header_names_the_header(tmp_path, capsys):
+    x = tmp_path / "x.txt"
+    x.write_text("x y\n01\n")
+    code = main(["exact-error", "--protocol", "gip", "--matrix", str(x)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: header: n and k must be integers, got 'x y'"]
+    assert captured.out == ""
+
+
 def test_simulate_zero_denominator_eps_is_one_error_line(capsys):
     code = main(["simulate", "--protocol", "gip", "--n", "2", "--k", "3", "--eps", "1/0"])
     assert code == 1
@@ -325,9 +346,9 @@ def test_sweep_refuses_past_max_reps_without_a_long_tail_sum(monkeypatch, capsys
     summed = []
     real = combinatorics._tail_numerator
 
-    def counted(t, a, c):
+    def counted(t, a, c, start):
         summed.append(t)
-        return real(t, a, c)
+        return real(t, a, c, start)
 
     monkeypatch.setattr(combinatorics, "_tail_numerator", counted)
     code = main(["sweep", "--protocol", "gip", "--n-list", "4", "--k-list", "8",

@@ -402,18 +402,34 @@ def test_identity_cell_fails_when_udisj_is_flipped_on_one_block(monkeypatch):
     assert not harness._identity_cell(2, 3, 3)
 
 
-def test_identity_cell_fails_when_the_block_fold_is_wrong_on_a_pair(monkeypatch):
-    # flip the composed GIP where two blocks each carry exactly two all-ones
-    # rows (UNDEFINED with GIP 0): only pairs of signatures see this fault
-    real = harness._fold
+def test_identity_cell_fails_when_the_stacked_rule_is_wrong_at_one_count(monkeypatch):
+    # only the 3 x 3 blocks with exactly two all-ones rows see this fault
+    real = harness._stacked_rule
+    wrong = real(2)[:2] + (0,)  # UDISJ 0 in place of UNDEFINED
+    monkeypatch.setattr(harness, "_stacked_rule", lambda ones: wrong if ones == 2 else real(ones))
+    assert not harness._identity_cell(1, 3, 3)
 
-    def fold(triples):
-        triples = list(triples)
-        gip, disj, udisj = real(triples)
-        pair = sum(u is UNDEFINED and g == 0 for g, _, u in triples) == 2
-        return gip ^ pair, disj, udisj
 
-    monkeypatch.setattr(harness, "_fold", fold)
+def test_identity_cell_fails_when_gip_is_flipped_on_the_all_ones_stack(monkeypatch):
+    # a 6 x 3 matrix is a stack of two 3 x 3 blocks, never one of them
+    real = harness.eval_gip
+    full = InputMatrix.from_code(6, 3, (1 << 18) - 1)
+    monkeypatch.setattr(harness, "eval_gip", lambda x: real(x) ^ (x == full))
+    assert not harness._identity_cell(2, 3, 3)
+
+
+def test_identity_cell_fails_when_eval_composed_xor_is_flipped_on_the_all_ones_stack(monkeypatch):
+    # the evaluators are right, so only the sample's eval_composed check sees
+    # this fault; the sample always holds the all-ones stack
+    real = harness.eval_composed
+
+    def composed(op, fn, blocks):
+        value = real(op, fn, blocks)
+        if op == "xor" and all(r == (1 << b.k) - 1 for b in blocks for r in b.rows):
+            return value ^ 1
+        return value
+
+    monkeypatch.setattr(harness, "eval_composed", composed)
     assert not harness._identity_cell(2, 3, 3)
 
 
